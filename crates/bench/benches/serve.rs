@@ -76,7 +76,7 @@ fn idle_pool(addr: std::net::SocketAddr, n: usize) -> Vec<std::net::TcpStream> {
         s.write_all(b"SSH-2.0-idle").expect("partial banner");
         pool.push(s);
         if i % 512 == 511 {
-            // Let the accept thread drain the backlog.
+            // Let the shards drain the backlog.
             std::thread::sleep(Duration::from_millis(5));
         }
     }

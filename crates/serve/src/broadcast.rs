@@ -1,7 +1,7 @@
 //! Lock-free publication primitives for the observability plane.
 //!
 //! The dashboard contract is one-directional: the serving hot path
-//! (accept threads, worker shards) must never block on — or even share a
+//! (the worker shards) must never block on — or even share a
 //! lock with — dashboard readers. Two primitives enforce that:
 //!
 //! * [`SnapshotCell`] — a single-writer, multi-reader cell holding an
@@ -185,8 +185,7 @@ impl Subscription {
 /// `try_send`-delivered: a full subscriber queue drops the frame for
 /// that subscriber only (counted in [`EventBus::dropped_frames`]).
 /// The subscriber list is behind a mutex, but it is touched only by the
-/// aggregator thread and HTTP workers — never by an accept thread or
-/// connection shard.
+/// aggregator thread and HTTP workers — never by a connection shard.
 #[derive(Default)]
 pub struct EventBus {
     subs: parking_lot::Mutex<Vec<SyncSender<Arc<String>>>>,

@@ -9,19 +9,21 @@
 //! # Architecture
 //!
 //! ```text
-//!   accept thread (ssh)  ──┐                 ┌── shard 0 ── poll loop over its conns
-//!   accept thread (telnet)─┼─ admission ─────┼── shard 1 ── …
-//!                          │  (global cap,   └── shard N-1
-//!                          │   per-IP limit)        │ completed sessions
-//!                          │                        ▼
-//!   stats thread           │                  honeypot::Collector ── sessiondb store
+//!   ssh listener ────┐   ┌── shard 0 ── accept + admit + pump its own conns
+//!   telnet listener ─┴───┼── shard 1 ── …
+//!   (kernel backlog)     └── shard N-1
+//!                                 │ completed sessions
+//!                                 ├──────────────► honeypot::Collector ── sessiondb store
+//!                                 ▼
+//!                          aggregator (drains every 10 ms) ── /api/*, SSE, stats line
 //! ```
 //!
-//! * **Sharded accept loop** — one non-blocking accept thread per
-//!   listener; admitted connections are dealt round-robin to a fixed pool
-//!   of worker *shards*. Each shard owns its connections outright (no
-//!   cross-thread locking on the hot path) and polls them with
-//!   non-blocking reads/writes, so one slow client never stalls the rest.
+//! * **Shards accept their own sockets** — every worker *shard* watches
+//!   every listener in its own poller and accepts, admits and pumps its
+//!   connections on one thread. Each shard owns its connections outright
+//!   (no cross-thread locking or handoff on the hot path) and drives
+//!   them with non-blocking reads/writes, so one slow client never
+//!   stalls the rest.
 //! * **Admission control** — a connection is shed *at accept time* when
 //!   the global concurrent-connection cap or the per-IP limit is reached:
 //!   the socket is dropped before any protocol state is allocated, which
@@ -37,9 +39,10 @@
 //!   [`honeypot::Collector`] (retry/backoff/quarantine) into a live
 //!   [`sessiondb`] store, so a server that has been up for a year has a
 //!   store on disk that `honeylab analyze` reads directly.
-//! * **Graceful shutdown** — trigger → accept loops stop and listeners
-//!   close → shards drain in-flight sessions (bounded by a drain timeout)
-//!   → collector retries flush → the final partial segment is sealed.
+//! * **Graceful shutdown** — trigger → shards stop accepting and the
+//!   listeners close → shards drain in-flight sessions (bounded by a
+//!   drain timeout) → collector retries flush → the final partial
+//!   segment is sealed.
 
 pub mod barrage;
 pub mod broadcast;
@@ -84,7 +87,7 @@ pub enum ServeError {
         /// Collector error message.
         message: String,
     },
-    /// A server thread (accept loop, supervisor, stats) panicked; the
+    /// A server thread (supervisor, stats, HTTP) panicked; the
     /// run's data was still sealed, but the process was unhealthy.
     ThreadPanicked {
         /// Thread that died.
@@ -139,7 +142,8 @@ impl std::error::Error for ServeError {}
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Readiness-driven reactor shards: epoll (Linux) or poll(2)
-    /// (other unixes), eventfd-style wakeups, timer-wheel deadlines.
+    /// (other unixes) over the listeners and the shard's own
+    /// connections, timer-wheel deadlines.
     /// The default wherever a readiness API exists.
     #[default]
     Reactor,
@@ -181,8 +185,9 @@ pub struct ServeConfig {
     pub ssh_port: Option<u16>,
     /// Telnet listener port, same conventions.
     pub telnet_port: Option<u16>,
-    /// Spill store directory; `None` keeps completed sessions in memory
-    /// (they are returned by [`ServerHandle::join`] only as counters).
+    /// Spill store directory; `None` only counts completed sessions
+    /// (they appear in [`ServerHandle::join`]'s report as counters and
+    /// are not kept).
     pub store_dir: Option<PathBuf>,
     /// Number of worker shards.
     pub workers: usize,
@@ -618,7 +623,7 @@ pub enum Admission {
     OverPerIpLimit,
 }
 
-/// Concurrent-connection accounting shared by accept threads and shards.
+/// Concurrent-connection accounting shared by every shard.
 #[derive(Debug)]
 pub struct Gate {
     max_connections: usize,

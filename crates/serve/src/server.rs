@@ -1,6 +1,6 @@
-//! Server orchestration: listeners, sharded accept loops, supervised
-//! worker pool, the stats/observability aggregator, the HTTP plane, and
-//! graceful drain.
+//! Server orchestration: listeners, supervised worker shards that accept
+//! their own connections, the stats/observability aggregator, the HTTP
+//! plane, and graceful drain.
 //!
 //! # Engines
 //!
@@ -8,15 +8,20 @@
 //! chaos, supervision, drain, capture):
 //!
 //! * [`Engine::Reactor`] (default) — readiness-driven: each shard owns
-//!   a [`crate::reactor::Poller`] (epoll on Linux) plus a timer wheel;
-//!   connections are pumped only when their socket is ready or their
-//!   deadline fires. New sockets arrive through a lock-free
-//!   [`crate::reactor::ShardQueue`] and an eventfd-style waker, so the
-//!   accept→shard handoff takes no locks.
+//!   a [`crate::reactor::Poller`] (epoll on Linux) plus a timer wheel,
+//!   and registers every listening socket in it beside its own
+//!   connections. On Linux the listener registrations are exclusive, so
+//!   one waiting shard wakes per incoming connection. That shard
+//!   accepts, admits and first-pumps the connection on its own thread:
+//!   no intake queue, no cross-thread wakeup. Connections are pumped
+//!   only when their socket is ready or their deadline fires.
 //! * [`Engine::Polled`] — the original scan-everything loop, kept as
 //!   the measurable baseline and the fallback where no readiness API
-//!   exists. Its historical fixed naps are now adaptive
-//!   (spin → yield → park).
+//!   exists. It tries every listener at the top of each scan round; its
+//!   naps are adaptive (spin → yield → park).
+//!
+//! Connections no shard has accepted yet wait in the kernel backlog,
+//! which is re-armed `max_connections` deep.
 //!
 //! # Crash containment
 //!
@@ -25,23 +30,33 @@
 //! session, its gate slot is released by the permit's `Drop`, and
 //! `panics_caught` is bumped — the shard keeps serving its other
 //! connections. If a shard thread dies anyway (a panic outside the
-//! per-connection guard), the supervisor respawns it and re-homes its
-//! intake queue, so the server keeps accepting at full width; the
-//! panic message is reported through [`ServeReport::shard_panics`].
-//! Accept/supervisor/stats threads have no respawn layer — a panic
-//! there surfaces as [`ServeError::ThreadPanicked`] from
-//! [`ServerHandle::join`].
+//! per-connection guard), the connections it owned are lost and the
+//! supervisor respawns it; the replacement re-registers the listeners
+//! and picks up whatever waits in the backlog, so the server keeps
+//! accepting at full width. The panic message is reported through
+//! [`ServeReport::shard_panics`]. Supervisor/stats threads have no
+//! respawn layer — a panic there surfaces as
+//! [`ServeError::ThreadPanicked`] from [`ServerHandle::join`].
+//!
+//! # Drain
+//!
+//! On shutdown every shard deregisters the listeners and drops its
+//! handle on them, as does the supervisor, so the listening sockets
+//! close within one wait tick and new connects are refused. In-flight
+//! sessions keep being pumped for up to `drain_timeout`, then the
+//! stragglers are force-closed and recorded as timed out.
 
 use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
-use crate::reactor::{
-    conn_interest, Backoff, Event, Interest, Poller, PopResult, ShardQueue, TimerWheel, Waker,
-};
+use crate::reactor::{conn_interest, Backoff, Event, Interest, Poller, TimerWheel};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
 use crate::{
     Admission, ChaosConfig, Engine, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot,
 };
-use honeypot::shell::NullStore;
-use honeypot::{panic_message, AuthPolicy, Collector, CollectorError, IngestStats};
+use honeypot::shell::{NullStore, RemoteStore};
+use honeypot::{
+    panic_message, AuthPolicy, Collector, CollectorError, IngestStats, SessionRecord, SessionSink,
+    SinkError,
+};
 use netsim::faults::FailureInjector;
 use sessiondb::{RecoveryReport, StoreOptions, StoreWriter};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
@@ -58,9 +73,16 @@ enum Proto {
     Telnet,
 }
 
-/// An admitted connection in flight from an accept thread to its shard.
-/// Carries its gate permit, so a connection dropped anywhere along the
-/// way (queue teardown, shard death) releases its slot.
+/// A bound, nonblocking listening socket. Every shard accepts from every
+/// listener; the set is shared behind an `Arc` that shards and the
+/// supervisor drop on shutdown, which closes the sockets.
+struct Listener {
+    socket: TcpListener,
+    proto: Proto,
+}
+
+/// An accepted, admitted connection on its way into a shard's table.
+/// Carries its gate permit, so dropping it on any path releases the slot.
 struct Admitted {
     stream: TcpStream,
     permit: crate::GatePermit,
@@ -92,14 +114,15 @@ pub fn fold_peer_ip(ip: IpAddr) -> netsim::Ipv4Addr {
     }
 }
 
-/// Intake side of a shard: a lock-free bounded queue plus the waker
-/// that pops its reactor out of `epoll_wait`. Shared (via `Arc`) by the
-/// accept threads, the shard thread, and the supervisor — so a
-/// respawned shard thread picks up exactly where its predecessor left
-/// off, queued connections (and their gate permits) included.
-struct Intake {
-    queue: ShardQueue<Admitted>,
-    waker: Waker,
+/// The collector sink of a server without a store: the collector still
+/// assigns ids and keeps its accounting, but each record is let go the
+/// moment it is accepted, so a storeless server's memory stays flat.
+struct DiscardSink;
+
+impl SessionSink for DiscardSink {
+    fn append(&mut self, _rec: &SessionRecord) -> Result<(), SinkError> {
+        Ok(())
+    }
 }
 
 /// Everything a shard thread needs, cloneable so the supervisor can
@@ -109,6 +132,9 @@ struct ShardCtx {
     remote: SharedStore,
     collector: Arc<Collector>,
     stats: Arc<ServeStats>,
+    gate: Arc<Gate>,
+    /// Global connection sequence (each SSH connection's cookie/nonce).
+    seq: Arc<AtomicU64>,
     shutdown: Arc<AtomicBool>,
     sensor: SensorIdentity,
     idle_timeout: Duration,
@@ -146,9 +172,9 @@ impl ShardCtx {
 pub struct Server;
 
 impl Server {
-    /// Binds listeners, spawns the accept/worker/stats threads, and
-    /// returns a handle. Downloads resolve against [`NullStore`] (every
-    /// fetch 404s), which is what a production honeypot wants.
+    /// Binds listeners, spawns the shard/stats threads, and returns a
+    /// handle. Downloads resolve against [`NullStore`] (every fetch
+    /// 404s), which is what a production honeypot wants.
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         Self::start_with_store(cfg, Arc::new(NullStore))
     }
@@ -164,7 +190,7 @@ impl Server {
         }
 
         let mut recovery = None;
-        let collector = Arc::new(match &cfg.store_dir {
+        let sink: Box<dyn SessionSink> = match &cfg.store_dir {
             Some(dir) => {
                 let opts = StoreOptions {
                     rows_per_segment: cfg.rows_per_segment,
@@ -175,28 +201,32 @@ impl Server {
                         message: e.to_string(),
                     })?;
                 recovery = Some(report);
-                Collector::with_sink(cfg.collector.clone(), Box::new(writer))
+                Box::new(writer)
             }
-            None => Collector::with_config(cfg.collector.clone()),
-        });
+            None => Box::new(DiscardSink),
+        };
+        let collector = Arc::new(Collector::with_sink(cfg.collector.clone(), sink));
 
         let mut listeners = Vec::new();
+        let mut addrs = ListenAddrs::default();
         for (port, proto) in [(cfg.ssh_port, Proto::Ssh), (cfg.telnet_port, Proto::Telnet)] {
             let Some(port) = port else { continue };
             let addr = SocketAddr::new(cfg.bind, port);
-            let listener = TcpListener::bind(addr).map_err(|e| ServeError::Bind {
+            let bind_err = |source| ServeError::Bind {
                 addr: addr.to_string(),
-                source: e,
-            })?;
-            listener
-                .set_nonblocking(true)
-                .map_err(|e| ServeError::Bind {
-                    addr: addr.to_string(),
-                    source: e,
-                })?;
-            deepen_backlog(&listener, cfg.max_connections);
-            listeners.push((listener, proto));
+                source,
+            };
+            let socket = TcpListener::bind(addr).map_err(bind_err)?;
+            socket.set_nonblocking(true).map_err(bind_err)?;
+            deepen_backlog(&socket, cfg.max_connections);
+            let local = socket.local_addr().map_err(bind_err)?;
+            match proto {
+                Proto::Ssh => addrs.ssh = Some(local),
+                Proto::Telnet => addrs.telnet = Some(local),
+            }
+            listeners.push(Listener { socket, proto });
         }
+        let listeners: Arc<[Listener]> = listeners.into();
 
         // Fall back to the polled engine where no readiness API exists.
         let engine = if crate::reactor::poller_supported() {
@@ -208,60 +238,11 @@ impl Server {
         let stats = Arc::new(ServeStats::default());
         let gate = Arc::new(Gate::new(cfg.max_connections, cfg.per_ip_limit));
         let shutdown = Arc::new(AtomicBool::new(false));
-        let seq = Arc::new(AtomicU64::new(0));
-        let workers = cfg.workers.max(1);
-
-        // Each intake ring holds a generous multiple of this shard's
-        // share of the connection cap, so a burst dealt unevenly never
-        // wedges the accept thread on a full queue.
-        let ring = (cfg.max_connections.div_ceil(workers) * 2).clamp(256, 65_536);
-        let mut intakes: Vec<Arc<Intake>> = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            intakes.push(Arc::new(Intake {
-                queue: ShardQueue::with_capacity(ring),
-                waker: Waker::new().map_err(|e| ServeError::Store {
-                    message: format!("cannot create shard waker: {e}"),
-                })?,
-            }));
-        }
-
-        let mut addrs = ListenAddrs::default();
-        let mut accept_threads = Vec::new();
-        for (listener, proto) in listeners {
-            let local = listener.local_addr().map_err(|e| ServeError::Bind {
-                addr: "<bound>".into(),
-                source: e,
-            })?;
-            match proto {
-                Proto::Ssh => addrs.ssh = Some(local),
-                Proto::Telnet => addrs.telnet = Some(local),
-            }
-            // Register as a producer *before* the thread exists, so no
-            // shard can observe a closed queue during startup.
-            for intake in &intakes {
-                intake.queue.add_producer();
-            }
-            let intakes = intakes.clone();
-            let stats = Arc::clone(&stats);
-            let gate = Arc::clone(&gate);
-            let shutdown = Arc::clone(&shutdown);
-            let seq = Arc::clone(&seq);
-            accept_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("accept-{proto:?}").to_lowercase())
-                    .spawn(move || {
-                        accept_loop(
-                            listener, proto, engine, &intakes, &stats, &gate, &shutdown, &seq,
-                        )
-                    })
-                    .expect("spawn accept thread"),
-            );
-        }
 
         // The aggregator replaces the old dedicated stats thread: it
         // owns the periodic stderr line *and* publishes the lock-free
         // snapshots the HTTP plane reads. Shards feed it cloned records
-        // over its channel; it costs nothing on the accept path.
+        // over its channel, which it drains in batches.
         let aggregator = spawn_aggregator(
             Arc::clone(&stats),
             Arc::clone(&shutdown),
@@ -291,6 +272,8 @@ impl Server {
             remote,
             collector: Arc::clone(&collector),
             stats: Arc::clone(&stats),
+            gate: Arc::clone(&gate),
+            seq: Arc::new(AtomicU64::new(0)),
             shutdown: Arc::clone(&shutdown),
             sensor: SensorIdentity {
                 honeypot_id: cfg.honeypot_id,
@@ -302,13 +285,14 @@ impl Server {
             chaos: cfg.chaos,
             agg_tx: aggregator.tx.clone(),
         };
+        let workers = cfg.workers.max(1);
         let shard_panics: Arc<parking_lot::Mutex<Vec<String>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let supervisor = {
             let panics = Arc::clone(&shard_panics);
             std::thread::Builder::new()
                 .name("shard-supervisor".into())
-                .spawn(move || supervisor_loop(ctx, engine, intakes, &panics))
+                .spawn(move || supervisor_loop(ctx, engine, workers, listeners, &panics))
                 .expect("spawn shard supervisor")
         };
 
@@ -319,7 +303,6 @@ impl Server {
             shutdown,
             recovery,
             collector: Some(collector),
-            accept_threads,
             supervisor: Some(supervisor),
             shard_panics,
             aggregator: Some(aggregator),
@@ -434,7 +417,6 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     recovery: Option<RecoveryReport>,
     collector: Option<Arc<Collector>>,
-    accept_threads: Vec<JoinHandle<()>>,
     supervisor: Option<JoinHandle<()>>,
     shard_panics: Arc<parking_lot::Mutex<Vec<String>>>,
     aggregator: Option<AggregatorHandle>,
@@ -469,7 +451,7 @@ impl ServerHandle {
         self.aggregator.as_ref().map(|a| a.cell.load())
     }
 
-    /// Starts graceful shutdown: accept loops stop, shards drain.
+    /// Starts graceful shutdown: the listeners close, shards drain.
     pub fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
@@ -480,8 +462,8 @@ impl ServerHandle {
     }
 
     /// Triggers shutdown (idempotent), waits for every thread, seals the
-    /// store, and returns the final accounting. A panic in any
-    /// accept/supervisor/stats thread surfaces as
+    /// store, and returns the final accounting. A panic in the
+    /// supervisor/stats/HTTP threads surfaces as
     /// [`ServeError::ThreadPanicked`] — after the store is sealed, so a
     /// sick run still keeps its data.
     pub fn join(mut self) -> Result<ServeReport, ServeError> {
@@ -495,10 +477,6 @@ impl ServerHandle {
                 }
             }
         };
-        for t in self.accept_threads.drain(..) {
-            let name = t.thread().name().unwrap_or("accept").to_string();
-            note_panic(&name, t.join());
-        }
         if let Some(t) = self.supervisor.take() {
             note_panic("shard-supervisor", t.join());
         }
@@ -546,22 +524,6 @@ fn map_collector_error(e: &CollectorError) -> ServeError {
     }
 }
 
-/// Removes this accept thread from every intake's producer count on
-/// exit (panic included) and wakes the shards so they observe the
-/// hangup — the drain protocol's "no more connections are coming".
-struct ProducerGuard<'a> {
-    intakes: &'a [Arc<Intake>],
-}
-
-impl Drop for ProducerGuard<'_> {
-    fn drop(&mut self) {
-        for intake in self.intakes {
-            intake.queue.remove_producer();
-            intake.waker.wake();
-        }
-    }
-}
-
 #[cfg(unix)]
 fn listener_fd(listener: &TcpListener) -> i32 {
     use std::os::unix::io::AsRawFd;
@@ -590,179 +552,172 @@ fn deepen_backlog(listener: &TcpListener, max_connections: usize) {
 #[cfg(not(unix))]
 fn deepen_backlog(_listener: &TcpListener, _max_connections: usize) {}
 
-/// Deals an admitted connection into a shard queue, preferring its
-/// round-robin home but overflowing to siblings when that ring is full.
-/// Dropping the connection (shutdown with every ring full) releases its
-/// permit.
-fn dispatch(intakes: &[Arc<Intake>], admitted: Admitted, home: usize, shutdown: &AtomicBool) {
-    let mut item = admitted;
-    let mut target = home;
-    let mut attempts = 0usize;
-    loop {
-        match intakes[target].queue.push(item) {
-            Ok(()) => {
-                // The waker's armed flag collapses this to one syscall
-                // per shard per quiet period, not one per connection.
-                intakes[target].waker.wake();
-                return;
-            }
-            Err(back) => {
-                item = back;
-                target = (target + 1) % intakes.len();
-                attempts += 1;
-                if attempts.is_multiple_of(intakes.len()) {
-                    if shutdown.load(Ordering::Relaxed) {
-                        return; // drop: the permit releases the slot
-                    }
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
+/// Most connections one readiness event accepts from a listener before
+/// the shard goes back to its own sockets; the rest stay in the backlog,
+/// and the listener stays readable.
+const ACCEPT_BATCH: usize = 64;
+
+/// Longest accept pause after descriptor exhaustion.
+const MAX_ACCEPT_PAUSE: Duration = Duration::from_millis(200);
+
+/// Listener `k` registers under `LISTENER_TOKEN + k`; slot indices count
+/// up from 0 and never get near it.
+const LISTENER_TOKEN: u64 = u64::MAX - 16;
+
+/// One shard's side of accepting: its handle on the shared listeners,
+/// the intake-time chaos die, and the pause after accept errors.
+struct Acceptor {
+    /// `None` once shutdown is observed.
+    listeners: Option<Arc<[Listener]>>,
+    shard_chaos: FailureInjector,
+    /// Set while accepting is paused after an accept error.
+    paused_until: Option<Instant>,
+    backoff: Duration,
 }
 
-/// Accepts until shutdown, shedding over-limit connections at the door.
-/// In reactor mode the thread parks in the poller between bursts; in
-/// polled mode (or if a poller cannot be built) it naps adaptively.
-#[allow(clippy::too_many_arguments)]
-fn accept_loop(
-    listener: TcpListener,
-    proto: Proto,
-    engine: Engine,
-    intakes: &[Arc<Intake>],
-    stats: &Arc<ServeStats>,
-    gate: &Arc<Gate>,
-    shutdown: &Arc<AtomicBool>,
-    seq: &AtomicU64,
-) {
-    let _guard = ProducerGuard { intakes };
-    #[cfg(unix)]
-    let mut poller = if engine == Engine::Reactor {
-        Poller::new().ok().and_then(|mut p| {
-            p.register(listener_fd(&listener), 0, Interest::READ)
-                .ok()
-                .map(|()| p)
-        })
-    } else {
-        None
-    };
-    #[cfg(not(unix))]
-    let mut poller: Option<Poller> = {
-        let _ = engine;
-        None
-    };
-    let mut events: Vec<Event> = Vec::new();
-    let mut nap = Backoff::new(Duration::from_micros(500));
-    let mut backoff = Duration::from_millis(1);
-    while !shutdown.load(Ordering::Relaxed) {
-        let mut accepted_any = false;
-        // Drain the backlog before waiting: under an accept storm the
-        // backlog (typically 128) fills in milliseconds.
-        loop {
-            match listener.accept() {
-                Ok((stream, peer)) => {
-                    accepted_any = true;
-                    backoff = Duration::from_millis(1);
-                    stats.accepted.fetch_add(1, Ordering::Relaxed);
-                    let client_ip = fold_peer_ip(peer.ip());
-                    let permit = match gate.admit(client_ip, stats) {
-                        Ok(p) => p,
-                        Err(Admission::OverCapacity) => {
-                            stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
-                            drop(stream); // shed: close before any protocol state exists
-                            continue;
-                        }
-                        Err(_) => {
-                            stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
-                            drop(stream);
-                            continue;
-                        }
-                    };
-                    if stream.set_nonblocking(true).is_err() {
-                        continue; // dropping the permit releases the slot
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let n = seq.fetch_add(1, Ordering::Relaxed);
-                    let admitted = Admitted {
-                        stream,
-                        permit,
-                        client_port: peer.port(),
-                        proto,
-                        start_unix: now_unix(),
-                        seq: n,
-                    };
-                    dispatch(intakes, admitted, (n as usize) % intakes.len(), shutdown);
-                }
+impl Acceptor {
+    fn new(listeners: Arc<[Listener]>, shard_chaos: FailureInjector) -> Self {
+        Acceptor {
+            listeners: Some(listeners),
+            shard_chaos,
+            paused_until: None,
+            backoff: Duration::from_millis(1),
+        }
+    }
+
+    /// The listeners this shard still accepts from (none after shutdown).
+    fn listeners(&self) -> &[Listener] {
+        self.listeners.as_deref().unwrap_or(&[])
+    }
+
+    /// Ends an expired pause; returns `true` when it did, so the reactor
+    /// can re-register the listeners.
+    fn resume(&mut self, now: Instant) -> bool {
+        let expired = self.paused_until.is_some_and(|t| t <= now);
+        if expired {
+            self.paused_until = None;
+        }
+        expired
+    }
+
+    /// Accepts up to [`ACCEPT_BATCH`] connections from listener `k` and
+    /// hands each to `intake` — counted, admitted, stamped — one at a
+    /// time, with nothing queued in between. Nothing is accepted once
+    /// shutdown is triggered. Returns `true` when an accept error just
+    /// paused accepting.
+    fn accept(&mut self, k: usize, ctx: &ShardCtx, mut intake: impl FnMut(Admitted)) -> bool {
+        if self.paused_until.is_some() || ctx.shutdown.load(Ordering::Relaxed) {
+            return false;
+        }
+        let Some(listener) = self.listeners.as_deref().and_then(|l| l.get(k)) else {
+            return false;
+        };
+        for _ in 0..ACCEPT_BATCH {
+            let (stream, peer) = match listener.socket.accept() {
+                Ok(conn) => conn,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
                 Err(e) => {
-                    stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                    ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
                     match e.kind() {
                         // Per-connection failures (peer vanished between
-                        // SYN and accept): the queue may hold more.
+                        // SYN and accept): the backlog may hold more.
                         std::io::ErrorKind::ConnectionAborted
                         | std::io::ErrorKind::ConnectionReset => continue,
                         // Resource exhaustion (EMFILE/ENFILE lands here
                         // as Other/Uncategorized) or anything unexpected:
-                        // hot-spinning accept() cannot help — back off
-                        // with a capped exponential sleep and let in-
-                        // flight connections finish and free fds.
+                        // hot-spinning accept() cannot help. Pause with a
+                        // capped exponential backoff while in-flight
+                        // connections finish and free fds — without ever
+                        // sleeping the shard, which still has them to pump.
                         _ => {
-                            std::thread::sleep(backoff);
-                            backoff = (backoff * 2).min(Duration::from_millis(200));
-                            break;
+                            self.paused_until = Some(Instant::now() + self.backoff);
+                            self.backoff = (self.backoff * 2).min(MAX_ACCEPT_PAUSE);
+                            return true;
                         }
                     }
                 }
-            }
-        }
-        if accepted_any {
-            nap.reset();
-        } else {
-            match poller.as_mut() {
-                // Park in the kernel until the listener is readable; the
-                // 50ms ceiling bounds shutdown-observation latency.
-                Some(p) => {
-                    if p.wait(Duration::from_millis(50), &mut events).is_err() {
-                        poller = None; // degrade to adaptive naps
-                    }
+            };
+            self.backoff = Duration::from_millis(1);
+            ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
+            let permit = match ctx.gate.admit(fold_peer_ip(peer.ip()), &ctx.stats) {
+                Ok(p) => p,
+                // Shed: dropping the stream closes it before any
+                // protocol state exists.
+                Err(Admission::OverCapacity) => {
+                    ctx.stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
-                None => nap.wait(),
+                Err(_) => {
+                    ctx.stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
+                    continue;
+                }
+            };
+            if stream.set_nonblocking(true).is_err() {
+                continue; // dropping the permit releases the slot
+            }
+            let _ = stream.set_nodelay(true);
+            let admitted = Admitted {
+                seq: ctx.seq.fetch_add(1, Ordering::Relaxed),
+                start_unix: now_unix(),
+                stream,
+                permit,
+                client_port: peer.port(),
+                proto: listener.proto,
+            };
+            if self.shard_chaos.fires() {
+                // Outside the per-connection guard: kills the whole
+                // shard thread. `admitted` (and its permit) and every
+                // owned connection release on unwind.
+                panic!("chaos: injected shard panic");
+            }
+            intake(admitted);
+        }
+        false
+    }
+
+    /// Accepts from every listener in turn: the polled engine's intake.
+    fn accept_all(&mut self, ctx: &ShardCtx, mut intake: impl FnMut(Admitted)) {
+        self.resume(Instant::now());
+        for k in 0..self.listeners().len() {
+            if self.accept(k, ctx, &mut intake) {
+                return;
             }
         }
     }
-    // Dropping the listener closes the socket: new connects are refused
-    // immediately rather than parked in the backlog during the drain.
 }
 
-/// Runs the shard pool, respawning any shard thread that panics. Holds
-/// every shard's intake queue behind an `Arc`, so a dead shard's queued
-/// connections (gate permits included) survive into its replacement.
-/// Returns once every shard has exited cleanly — which only happens
-/// during shutdown, after the accept threads deregister as producers.
+/// Runs the shard pool, respawning any shard thread that panics; the
+/// replacement re-registers the listeners and takes over from the
+/// backlog. Drops its own handle on the listeners once shutdown is
+/// triggered, and returns once every shard has drained and exited.
 fn supervisor_loop(
     ctx: ShardCtx,
     engine: Engine,
-    intakes: Vec<Arc<Intake>>,
+    workers: usize,
+    listeners: Arc<[Listener]>,
     shard_panics: &parking_lot::Mutex<Vec<String>>,
 ) {
-    let spawn_shard = |index: usize, generation: u64| -> JoinHandle<()> {
+    let spawn_shard = |index: usize, generation: u64, listeners: Arc<[Listener]>| {
         let ctx = ctx.clone();
-        let intake = Arc::clone(&intakes[index]);
         std::thread::Builder::new()
             .name(format!("shard-{index}"))
             .spawn(move || match engine {
-                Engine::Reactor => shard_loop_reactor(index, generation, &intake, &ctx),
-                Engine::Polled => shard_loop_polled(index, generation, &intake, &ctx),
+                Engine::Reactor => shard_loop_reactor(index, generation, listeners, &ctx),
+                Engine::Polled => shard_loop_polled(index, generation, listeners, &ctx),
             })
             .expect("spawn shard")
     };
     let mut generation = 0u64;
-    let mut handles: Vec<Option<JoinHandle<()>>> = (0..intakes.len())
-        .map(|i| Some(spawn_shard(i, 0)))
+    let mut handles: Vec<Option<JoinHandle<()>>> = (0..workers)
+        .map(|i| Some(spawn_shard(i, 0, Arc::clone(&listeners))))
         .collect();
+    let mut listeners = Some(listeners);
     let mut wait = Backoff::new(Duration::from_millis(2));
     loop {
+        if ctx.shutdown.load(Ordering::Relaxed) {
+            listeners = None;
+        }
         let mut any_alive = false;
         for (index, slot) in handles.iter_mut().enumerate() {
             let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
@@ -776,24 +731,21 @@ fn supervisor_loop(
                 shard_panics
                     .lock()
                     .push(format!("shard-{index}: {message}"));
-                if !ctx.shutdown.load(Ordering::Relaxed) {
+                if let Some(listeners) = &listeners {
                     // Respawn with a bumped generation (the chaos
                     // injectors are reseeded, so a deterministic
                     // injected panic does not immediately re-fire).
                     ctx.stats.shards_respawned.fetch_add(1, Ordering::Relaxed);
                     generation += 1;
-                    *slot = Some(spawn_shard(index, generation));
+                    *slot = Some(spawn_shard(index, generation, Arc::clone(listeners)));
                     any_alive = true;
                     wait.reset();
                 }
-                // During shutdown the replacement would have nothing to
-                // do; the intake (and any queued permits) drop with
-                // `intakes` below.
             }
             // A clean exit is final: it means shutdown drained the shard.
         }
         if !any_alive {
-            return; // `intakes` drop here, releasing any queued permits
+            return;
         }
         wait.wait();
     }
@@ -817,7 +769,7 @@ fn chaos_injectors(
     (conn_chaos, shard_chaos)
 }
 
-fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn honeypot::shell::RemoteStore) -> Conn<'s> {
+fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn RemoteStore) -> Conn<'s> {
     let handler = LiveHandler::new(AuthPolicy::default(), remote_ref);
     match a.proto {
         Proto::Ssh => Conn::ssh(
@@ -836,47 +788,31 @@ fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn honeypot::shell::RemoteStore)
 /// blocking. The baseline engine. Each connection's pump runs under
 /// `catch_unwind`, so one poisoned session cannot take the shard (or
 /// its siblings' gate slots) with it.
-fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &ShardCtx) {
-    let remote_ref: &dyn honeypot::shell::RemoteStore = &*ctx.remote;
-    let (mut conn_chaos, mut shard_chaos) = chaos_injectors(ctx, index, generation);
+fn shard_loop_polled(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
+    let remote_ref: &dyn RemoteStore = &*ctx.remote;
+    let (mut conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
+    let mut acceptor = Acceptor::new(listeners, shard_chaos);
     // `doomed` marks connections the chaos config sentenced at intake;
     // the panic fires inside the per-connection guard.
     let mut conns: Vec<(Conn<'_>, bool)> = Vec::new();
-    let mut intake_open = true;
     let mut drain_started: Option<Instant> = None;
     let mut nap = Backoff::new(Duration::from_millis(1));
 
     loop {
-        // Intake: move admitted sockets into the shard. Lock-free, so
-        // the supervisor never deadlocks with a live shard and a
-        // respawned shard inherits the queue seamlessly.
-        let mut took_any = false;
-        while intake_open {
-            match intake.queue.pop() {
-                PopResult::Item(a) => {
-                    if shard_chaos.fires() {
-                        // Outside the per-connection guard: this kills
-                        // the whole shard thread. `a` (and its permit)
-                        // and every owned connection release on unwind.
-                        panic!("chaos: injected shard panic");
-                    }
-                    took_any = true;
-                    let doomed = conn_chaos.fires();
-                    conns.push((build_conn(a, remote_ref), doomed));
-                }
-                PopResult::Empty => break,
-                PopResult::Closed => {
-                    intake_open = false;
-                    break;
-                }
-            }
-        }
+        // Intake: accept straight into this shard's connection list.
+        let owned = conns.len();
+        acceptor.accept_all(ctx, |a| {
+            let doomed = conn_chaos.fires();
+            conns.push((build_conn(a, remote_ref), doomed));
+        });
+        let took_any = conns.len() > owned;
 
-        // Drain policy: once shutdown is triggered, keep pumping in-flight
-        // sessions for at most `drain_timeout`, then force-close the rest.
-        let draining = ctx.shutdown.load(Ordering::Relaxed);
-        if draining && drain_started.is_none() {
+        // Drain policy: once shutdown is triggered, stop accepting and
+        // keep pumping in-flight sessions for at most `drain_timeout`,
+        // then force-close the rest.
+        if ctx.shutdown.load(Ordering::Relaxed) && drain_started.is_none() {
             drain_started = Some(Instant::now());
+            acceptor.listeners = None;
         }
         let force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
 
@@ -914,23 +850,15 @@ fn shard_loop_polled(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &
             }
         }
 
+        if conns.is_empty() && drain_started.is_some() {
+            return; // drained, and no longer accepting
+        }
         if took_any || finished_any {
             nap.reset();
         }
-        if conns.is_empty() {
-            // Exit once the accept side has hung up (it deregisters as a
-            // producer when it observes shutdown, closing the queue) —
-            // late-admitted sockets arrive through the intake loop above
-            // first, so no gate slot is ever stranded.
-            if !intake_open {
-                return;
-            }
-            nap.wait();
-        } else {
-            // Adaptive yield between scan rounds; the pump loop itself
-            // runs until it stops making progress.
-            nap.wait();
-        }
+        // Adaptive yield between scan rounds; the pump loop itself runs
+        // until it stops making progress.
+        nap.wait();
     }
 }
 
@@ -943,71 +871,102 @@ struct ShardSlot<'s> {
     armed: Interest,
 }
 
-/// One reactor worker shard: readiness-driven. Connections are pumped
-/// when epoll reports their socket ready or their timer-wheel deadline
-/// fires — never scanned. The intake waker pops the shard out of
-/// `epoll_wait` when the accept thread queues a socket. Crash
-/// containment is identical to the polled engine: per-connection
-/// `catch_unwind`, shard-level chaos at intake.
-fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: &ShardCtx) {
-    let mut poller = match Poller::new() {
-        Ok(p) => p,
-        // No readiness API after all (fd exhaustion at spawn): degrade
-        // to the polled engine rather than dying.
-        Err(_) => return shard_loop_polled(index, generation, intake, ctx),
-    };
-    if poller
-        .register(intake.waker.fd(), Waker::TOKEN, Interest::READ)
-        .is_err()
-    {
-        return shard_loop_polled(index, generation, intake, ctx);
+/// Most reclaimed output buffers a reactor shard keeps for reuse.
+const POOL_CAP: usize = 256;
+/// Largest output buffer worth keeping in the pool.
+const POOL_BUF_MAX: usize = 64 * 1024;
+
+/// A reactor shard's connection table and the resources its pumps
+/// share.
+struct Reactor<'s> {
+    poller: Poller,
+    slots: Vec<Option<ShardSlot<'s>>>,
+    free: Vec<usize>,
+    live: usize,
+    slot_gen: u64,
+    wheel: TimerWheel,
+    /// One read buffer for every connection on the shard, plus a pool
+    /// of reclaimed output buffers: per-connection allocation churn
+    /// drops to (at most) one pool miss per intake.
+    read_buf: Vec<u8>,
+    out_pool: Vec<Vec<u8>>,
+}
+
+#[cfg(unix)]
+impl<'s> Reactor<'s> {
+    /// Registers every listener for exclusive read interest.
+    fn arm(&mut self, listeners: &[Listener]) -> std::io::Result<()> {
+        for (k, l) in listeners.iter().enumerate() {
+            self.poller
+                .register_exclusive(listener_fd(&l.socket), LISTENER_TOKEN + k as u64)?;
+        }
+        Ok(())
     }
-    let remote_ref: &dyn honeypot::shell::RemoteStore = &*ctx.remote;
-    let (mut conn_chaos, mut shard_chaos) = chaos_injectors(ctx, index, generation);
 
-    let mut slots: Vec<Option<ShardSlot<'_>>> = Vec::new();
-    let mut free: Vec<usize> = Vec::new();
-    let mut live = 0usize;
-    let mut slot_gen = 0u64;
-    let mut wheel = TimerWheel::new(256, Duration::from_millis(100), Instant::now());
-    // One shared read buffer for every connection on the shard, plus a
-    // pool of reclaimed output buffers — per-connection allocation
-    // churn drops to (at most) one pool miss per intake.
-    let mut read_buf = vec![0u8; 16 * 1024];
-    let mut out_pool: Vec<Vec<u8>> = Vec::new();
-    const POOL_CAP: usize = 256;
-    const POOL_BUF_MAX: usize = 64 * 1024;
+    /// Stops watching the listeners.
+    fn disarm(&mut self, listeners: &[Listener]) {
+        for l in listeners {
+            let _ = self.poller.deregister(listener_fd(&l.socket));
+        }
+    }
 
-    let mut events: Vec<Event> = Vec::new();
-    let mut expired: Vec<(u64, u64)> = Vec::new();
-    let mut intake_open = true;
-    let mut drain_started: Option<Instant> = None;
+    /// Places an admitted connection in a slot, registers it with the
+    /// poller and the timer wheel, and gives it its first pump (the SSH
+    /// banner goes out here; a scanner that connects and hangs up may
+    /// finish on this very pump).
+    fn intake(&mut self, mut conn: Conn<'s>, doomed: bool, force_close: bool, ctx: &ShardCtx) {
+        if let Some(buf) = self.out_pool.pop() {
+            conn.adopt_out_buffer(buf);
+        }
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(None);
+            self.slots.len() - 1
+        });
+        // Register before the first pump so no readiness edge is lost
+        // between pump and registration.
+        if self
+            .poller
+            .register(conn.raw_fd(), i as u64, Interest::READ)
+            .is_err()
+        {
+            // Cannot watch this socket: fail the session rather than
+            // strand it unpumped forever.
+            conn.abort();
+            ctx.record_finished(conn);
+            self.free.push(i);
+            return;
+        }
+        self.slot_gen += 1;
+        self.slots[i] = Some(ShardSlot {
+            conn,
+            doomed,
+            generation: self.slot_gen,
+            armed: Interest::READ,
+        });
+        self.live += 1;
+        self.pump(i, force_close, Instant::now(), ctx);
+        self.schedule(i, ctx);
+    }
 
-    // Pumps slot `i` under the per-connection guard; returns and frees
-    // the slot if the connection finished (or its pump panicked).
-    // Implemented as a macro-free closure-by-convention: the borrow
-    // checker cannot split `slots`/`poller`/`wheel` through a closure,
-    // so this is a local fn taking everything it touches.
-    #[allow(clippy::too_many_arguments)]
-    fn pump_slot(
-        i: usize,
-        force_close: bool,
-        now: Instant,
-        slots: &mut Vec<Option<ShardSlot<'_>>>,
-        free: &mut Vec<usize>,
-        live: &mut usize,
-        poller: &mut Poller,
-        out_pool: &mut Vec<Vec<u8>>,
-        read_buf: &mut [u8],
-        ctx: &ShardCtx,
-    ) {
-        let Some(slot) = slots.get_mut(i).and_then(Option::as_mut) else {
+    /// Puts slot `i`'s next deadline on the timer wheel, if it is live.
+    fn schedule(&mut self, i: usize, ctx: &ShardCtx) {
+        if let Some(slot) = self.slots.get(i).and_then(Option::as_ref) {
+            let deadline = slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout);
+            self.wheel.insert(i as u64, slot.generation, deadline);
+        }
+    }
+
+    /// Pumps slot `i` under the per-connection guard; records and frees
+    /// the slot if the connection finished (or its pump panicked).
+    fn pump(&mut self, i: usize, force_close: bool, now: Instant, ctx: &ShardCtx) {
+        let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
             return; // already finished this tick (e.g. event + timer)
         };
         if force_close {
             slot.conn.abort();
         }
         let doomed = slot.doomed;
+        let read_buf = &mut self.read_buf;
         let pumped = catch_unwind(AssertUnwindSafe(|| {
             if doomed {
                 panic!("chaos: injected connection panic");
@@ -1021,191 +980,130 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
                     &ctx.stats,
                 )
         }));
-        let finished = !matches!(pumped, Ok(false));
-        if finished {
-            let mut slot = slots[i].take().expect("slot checked above");
-            #[cfg(unix)]
-            let _ = poller.deregister(slot.conn.raw_fd());
-            let buf = slot.conn.reclaim_out_buffer();
-            if out_pool.len() < POOL_CAP && buf.capacity() > 0 && buf.capacity() <= POOL_BUF_MAX {
-                out_pool.push(buf);
-            }
-            match pumped {
-                Err(_payload) => ctx.record_failed(slot.conn),
-                _ => ctx.record_finished(slot.conn),
-            }
-            free.push(i);
-            *live -= 1;
-            // Any timer-wheel entries for this slot die via the slot
-            // generation check when they fire.
-        } else {
+        if let Ok(false) = pumped {
             // Re-arm write interest only when it changed — kernel
             // round-trips on interest are not free.
             let want = conn_interest(slot.conn.wants_write());
             if want != slot.armed {
-                #[cfg(unix)]
-                let _ = poller.reregister(slot.conn.raw_fd(), i as u64, want);
+                let _ = self.poller.reregister(slot.conn.raw_fd(), i as u64, want);
                 slot.armed = want;
             }
+            return;
         }
+        let mut slot = self.slots[i].take().expect("slot checked above");
+        let _ = self.poller.deregister(slot.conn.raw_fd());
+        let buf = slot.conn.reclaim_out_buffer();
+        if self.out_pool.len() < POOL_CAP && buf.capacity() > 0 && buf.capacity() <= POOL_BUF_MAX {
+            self.out_pool.push(buf);
+        }
+        match pumped {
+            Err(_payload) => ctx.record_failed(slot.conn),
+            _ => ctx.record_finished(slot.conn),
+        }
+        self.free.push(i);
+        self.live -= 1;
+        // Any timer-wheel entries for this slot die via the slot
+        // generation check when they fire.
     }
+}
+
+/// One reactor worker shard: readiness-driven. The listeners and the
+/// shard's own connections share one poller; connections are pumped
+/// when their socket is ready or their timer-wheel deadline fires —
+/// never scanned. Crash containment is identical to the polled engine:
+/// per-connection `catch_unwind`, shard-level chaos at intake.
+#[cfg(unix)]
+fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
+    // No readiness API after all (fd exhaustion at spawn): degrade to
+    // the polled engine rather than dying.
+    let Ok(poller) = Poller::new() else {
+        return shard_loop_polled(index, generation, listeners, ctx);
+    };
+    let mut r = Reactor {
+        poller,
+        slots: Vec::new(),
+        free: Vec::new(),
+        live: 0,
+        slot_gen: 0,
+        wheel: TimerWheel::new(256, Duration::from_millis(100), Instant::now()),
+        read_buf: vec![0u8; 16 * 1024],
+        out_pool: Vec::new(),
+    };
+    if r.arm(&listeners).is_err() {
+        drop(r);
+        return shard_loop_polled(index, generation, listeners, ctx);
+    }
+    let remote_ref: &dyn RemoteStore = &*ctx.remote;
+    let (mut conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
+    let mut acceptor = Acceptor::new(listeners, shard_chaos);
+    let mut events: Vec<Event> = Vec::new();
+    let mut expired: Vec<(u64, u64)> = Vec::new();
+    let mut drain_started: Option<Instant> = None;
 
     loop {
-        // Intake: move admitted sockets into slots, register them with
-        // the poller and the timer wheel, and give them their first
-        // pump (the SSH banner goes out here; a scanner that connects
-        // and hangs up may finish on this very pump).
-        let mut force_close =
-            matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-        while intake_open {
-            match intake.queue.pop() {
-                PopResult::Item(a) => {
-                    if shard_chaos.fires() {
-                        // Outside the per-connection guard: kills the
-                        // whole shard thread. `a` (and its permit) and
-                        // every owned connection release on unwind.
-                        panic!("chaos: injected shard panic");
-                    }
-                    let doomed = conn_chaos.fires();
-                    let mut conn = build_conn(a, remote_ref);
-                    if let Some(buf) = out_pool.pop() {
-                        conn.adopt_out_buffer(buf);
-                    }
-                    let i = free.pop().unwrap_or_else(|| {
-                        slots.push(None);
-                        slots.len() - 1
-                    });
-                    slot_gen += 1;
-                    slots[i] = Some(ShardSlot {
-                        conn,
-                        doomed,
-                        generation: slot_gen,
-                        armed: Interest::READ,
-                    });
-                    live += 1;
-                    // Register before the first pump so no readiness
-                    // edge is lost between pump and registration.
-                    #[cfg(unix)]
-                    {
-                        let slot = slots[i].as_ref().expect("just placed");
-                        if poller
-                            .register(slot.conn.raw_fd(), i as u64, Interest::READ)
-                            .is_err()
-                        {
-                            // Cannot watch this socket: fail the session
-                            // rather than strand it unpumped forever.
-                            let mut slot = slots[i].take().expect("just placed");
-                            slot.conn.abort();
-                            ctx.record_finished(slot.conn);
-                            free.push(i);
-                            live -= 1;
-                            continue;
-                        }
-                    }
-                    let now = Instant::now();
-                    pump_slot(
-                        i,
-                        force_close,
-                        now,
-                        &mut slots,
-                        &mut free,
-                        &mut live,
-                        &mut poller,
-                        &mut out_pool,
-                        &mut read_buf,
-                        ctx,
-                    );
-                    if let Some(slot) = slots.get(i).and_then(Option::as_ref) {
-                        wheel.insert(
-                            i as u64,
-                            slot.generation,
-                            slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout),
-                        );
-                    }
-                }
-                PopResult::Empty => break,
-                PopResult::Closed => {
-                    intake_open = false;
-                }
+        // Drain policy: identical to the polled engine. Letting go of
+        // the listeners here is what closes them once every shard and
+        // the supervisor have done the same.
+        if ctx.shutdown.load(Ordering::Relaxed) && drain_started.is_none() {
+            drain_started = Some(Instant::now());
+            if let Some(listeners) = acceptor.listeners.take() {
+                r.disarm(&listeners);
             }
         }
-
-        // Drain policy: identical to the polled engine.
-        let draining = ctx.shutdown.load(Ordering::Relaxed);
-        if draining && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-        }
-        if !force_close {
-            force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-        }
-        if force_close && live > 0 {
+        let force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
+        if force_close && r.live > 0 {
             // Sweep every in-flight connection closed (recorded as
             // timed out), exactly like the polled engine's final round.
             let now = Instant::now();
-            for i in 0..slots.len() {
-                pump_slot(
-                    i,
-                    true,
-                    now,
-                    &mut slots,
-                    &mut free,
-                    &mut live,
-                    &mut poller,
-                    &mut out_pool,
-                    &mut read_buf,
-                    ctx,
-                );
+            for i in 0..r.slots.len() {
+                r.pump(i, true, now, ctx);
             }
         }
-
-        if live == 0 && !intake_open {
-            return; // drained and the accept side hung up
+        if r.live == 0 && drain_started.is_some() {
+            return; // drained, and no longer accepting
         }
 
+        let now = Instant::now();
+        if acceptor.resume(now) {
+            let _ = r.arm(acceptor.listeners());
+        }
         // Park until something is ready. The ceiling bounds how late we
-        // observe shutdown, drain expiry, and timer-wheel deadlines.
-        let timeout = if draining {
+        // observe shutdown, drain expiry, timer-wheel deadlines and the
+        // end of an accept pause.
+        let mut timeout = if drain_started.is_some() {
             Duration::from_millis(10)
         } else {
             Duration::from_millis(50)
         };
-        if poller.wait(timeout, &mut events).is_err() {
+        if let Some(until) = acceptor.paused_until {
+            timeout = timeout.min(until.saturating_duration_since(now));
+        }
+        if r.poller.wait(timeout, &mut events).is_err() {
             events.clear();
         }
         let now = Instant::now();
-        let mut woken = false;
         for ev in &events {
-            let ev = *ev;
-            if ev.token == Waker::TOKEN {
-                woken = true;
+            if ev.token < LISTENER_TOKEN {
+                r.pump(ev.token as usize, force_close, now, ctx);
                 continue;
             }
-            pump_slot(
-                ev.token as usize,
-                force_close,
-                now,
-                &mut slots,
-                &mut free,
-                &mut live,
-                &mut poller,
-                &mut out_pool,
-                &mut read_buf,
-                ctx,
-            );
-        }
-        if woken {
-            // Drain *after* pumping so a wake arriving mid-loop is
-            // consumed only once the queue is about to be re-polled.
-            intake.waker.drain();
+            let k = (ev.token - LISTENER_TOKEN) as usize;
+            let paused = acceptor.accept(k, ctx, |a| {
+                let doomed = conn_chaos.fires();
+                r.intake(build_conn(a, remote_ref), doomed, force_close, ctx);
+            });
+            if paused {
+                r.disarm(acceptor.listeners());
+            }
         }
 
         // Timer wheel: fire expired deadlines. Entries carry the slot
         // generation, so a reused slot ignores its predecessor's
         // timers; a deadline pushed forward by activity re-inserts.
-        wheel.advance(now, &mut expired);
+        r.wheel.advance(now, &mut expired);
         for (token, gen) in expired.drain(..) {
             let i = token as usize;
-            let Some(slot) = slots.get(i).and_then(Option::as_ref) else {
+            let Some(slot) = r.slots.get(i).and_then(Option::as_ref) else {
                 continue;
             };
             if slot.generation != gen {
@@ -1214,32 +1112,21 @@ fn shard_loop_reactor(index: usize, generation: u64, intake: &Arc<Intake>, ctx: 
             let deadline = slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout);
             if deadline <= now {
                 // Really expired: the pump's own deadline check marks
-                // it timed out and finishes it.
-                pump_slot(
-                    i,
-                    force_close,
-                    now,
-                    &mut slots,
-                    &mut free,
-                    &mut live,
-                    &mut poller,
-                    &mut out_pool,
-                    &mut read_buf,
-                    ctx,
-                );
-                if let Some(slot) = slots.get(i).and_then(Option::as_ref) {
-                    // Survived (activity raced the deadline): rearm.
-                    wheel.insert(
-                        i as u64,
-                        slot.generation,
-                        slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout),
-                    );
-                }
+                // it timed out and finishes it; a survivor (activity
+                // raced the deadline) is rescheduled.
+                r.pump(i, force_close, now, ctx);
+                r.schedule(i, ctx);
             } else {
-                wheel.insert(token, gen, deadline);
+                r.wheel.insert(token, gen, deadline);
             }
         }
     }
+}
+
+/// Without a readiness API the reactor engine is the polled one.
+#[cfg(not(unix))]
+fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
+    shard_loop_polled(index, generation, listeners, ctx)
 }
 
 #[cfg(test)]

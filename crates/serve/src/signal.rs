@@ -9,7 +9,7 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Set by the signal handler; polled by accept loops and worker shards.
+/// Set by the signal handler; polled by `honeylab serve`'s main loop.
 static INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 /// True once SIGINT has been received (or [`trigger`] was called).

@@ -1,10 +1,11 @@
 //! The live aggregator behind the observability plane.
 //!
 //! One dedicated thread consumes session-close events from the worker
-//! shards (cloned [`SessionRecord`]s over an `mpsc` channel — the same
-//! lock-free handoff the accept→shard path uses), folds them into the
-//! *same* `honeylab-core` accumulators the post-hoc `analyze` pipeline
-//! runs, and periodically publishes an immutable [`ApiSnapshot`] through
+//! shards (cloned [`SessionRecord`]s over an `mpsc` channel, drained in
+//! batches every 10 ms so no send ever has to wake the receiver), folds
+//! them into the *same* `honeylab-core` accumulators the post-hoc
+//! `analyze` pipeline runs, and periodically publishes an immutable
+//! [`ApiSnapshot`] through
 //! a [`broadcast::SnapshotCell`]. HTTP workers render endpoints from
 //! whatever snapshot is current — they never touch the accumulators, a
 //! lock, or any serving thread's state.
@@ -30,7 +31,7 @@ use hutil::{api_envelope, Json};
 use sessiondb::RecoveryReport;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -40,6 +41,9 @@ pub const TOP_CREDENTIALS: usize = 10;
 
 /// Publish cadence of the snapshot cell.
 pub const PUBLISH_TICK: Duration = Duration::from_millis(250);
+
+/// How long the aggregator sleeps between passes over its channel.
+const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Events the serving layer feeds the aggregator. Senders are cheap
 /// clones of one `mpsc::Sender`; a dead aggregator (channel closed) is
@@ -733,25 +737,31 @@ fn aggregator_loop(
     let mut last_publish = Instant::now();
     let mut last_line = Instant::now();
     loop {
-        let disconnected = match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(AggEvent::Session(rec)) => {
-                let summary = state.push_session(&rec);
-                bus.publish(crate::sse::frame(
-                    "session",
-                    &session_event_json(&summary).render(),
-                ));
-                false
+        // Drain whatever the shards queued since the last pass. The
+        // receiver never blocks, so a shard's send never has to wake it.
+        let disconnected = loop {
+            match rx.try_recv() {
+                Ok(AggEvent::Session(rec)) => {
+                    let summary = state.push_session(&rec);
+                    // Frames go to subscribers registered when the
+                    // session is folded; with none, skip the rendering.
+                    if bus.subscribers() > 0 {
+                        bus.publish(crate::sse::frame(
+                            "session",
+                            &session_event_json(&summary).render(),
+                        ));
+                    }
+                }
+                Ok(AggEvent::Recovery(report)) => {
+                    bus.publish(crate::sse::frame(
+                        "recovery",
+                        &recovery_event_json(&report).render(),
+                    ));
+                    state.set_recovery(report);
+                }
+                Err(TryRecvError::Empty) => break false,
+                Err(TryRecvError::Disconnected) => break true,
             }
-            Ok(AggEvent::Recovery(report)) => {
-                bus.publish(crate::sse::frame(
-                    "recovery",
-                    &recovery_event_json(&report).render(),
-                ));
-                state.set_recovery(report);
-                false
-            }
-            Err(RecvTimeoutError::Timeout) => false,
-            Err(RecvTimeoutError::Disconnected) => true,
         };
         if shutdown.load(Ordering::Relaxed) {
             state.set_shutting_down();
@@ -776,6 +786,7 @@ fn aggregator_loop(
         if disconnected {
             return; // final snapshot above covers every ingested session
         }
+        std::thread::sleep(DRAIN_TICK);
     }
 }
 
@@ -950,5 +961,49 @@ mod tests {
         assert_eq!(snap.recent[0].session_id, 7);
         let frame = sub.try_next().expect("session frame fanned out");
         assert!(frame.starts_with("event: session\n"));
+    }
+
+    #[test]
+    fn sessions_folded_without_subscribers_count_and_later_ones_stream() {
+        let stats = Arc::new(ServeStats::default());
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let handle = spawn_aggregator(Arc::clone(&stats), shutdown, 8, None);
+        let send = |id: u64| {
+            handle
+                .tx
+                .send(AggEvent::Session(Box::new(sample_record(id, now_unix()))))
+                .unwrap();
+        };
+        for id in 1..=3 {
+            send(id);
+        }
+        // Folded with nobody listening: the taxonomy still counts them.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while handle.cell.load().taxonomy.total_sessions < 3 {
+            assert!(
+                Instant::now() < deadline,
+                "unsubscribed sessions never published"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let sub = handle.bus.subscribe();
+        for id in 4..=5 {
+            send(id);
+        }
+        let cell = Arc::clone(&handle.cell);
+        handle.join().unwrap();
+        assert_eq!(cell.load().taxonomy.total_sessions, 5);
+        let mut streamed = Vec::new();
+        while let Some(frame) = sub.try_next() {
+            assert!(frame.starts_with("event: session\n"));
+            let data: Vec<&str> = frame
+                .lines()
+                .filter_map(|l| l.strip_prefix("data: "))
+                .collect();
+            let doc = Json::parse(&data.join("\n")).unwrap();
+            let id = doc.get("data").and_then(|d| d.get("session_id"));
+            streamed.push(id.and_then(Json::as_i64).unwrap());
+        }
+        assert_eq!(streamed, vec![4, 5], "exactly the later sessions, in order");
     }
 }

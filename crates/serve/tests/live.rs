@@ -289,6 +289,131 @@ fn graceful_shutdown_drains_in_flight_sessions() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Shutdown closes the listeners right away: a fresh connect is refused
+/// within 2 s, while a session that was already in flight still
+/// completes and reaches the store.
+#[test]
+fn shutdown_refuses_new_connects_but_drains_in_flight_sessions() {
+    let dir = temp_store("refuse");
+    let cfg = ServeConfig {
+        store_dir: Some(dir.clone()),
+        workers: 2,
+        stats_interval: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg).expect("start");
+    let addr = handle.addrs().ssh.expect("ssh addr");
+
+    // In flight: admitted (banner read) but the dialogue not yet begun.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let mut banner = [0u8; 256];
+    let banner_len = stream.read(&mut banner).expect("banner");
+    assert!(banner_len > 0);
+    handle.trigger_shutdown();
+
+    let deadline = Instant::now() + Duration::from_secs(2);
+    loop {
+        match TcpStream::connect(addr) {
+            Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => break,
+            _ => {
+                assert!(
+                    Instant::now() < deadline,
+                    "listener still open 2 s after shutdown"
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
+    }
+
+    // Finish the in-flight dialogue on the socket the banner came from.
+    stream
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .unwrap();
+    let mut client = SshClient::new(
+        ClientScript::new("root", &["admin"], &["uname -a"]),
+        b"refuse-test-nonce".to_vec(),
+    );
+    client
+        .input(&banner[..banner_len])
+        .expect("client protocol");
+    let mut buf = [0u8; 8192];
+    let stall = Instant::now() + Duration::from_secs(10);
+    while !client.is_closed() {
+        assert!(Instant::now() < stall, "in-flight dialogue stalled");
+        let out = client.take_output();
+        if !out.is_empty() {
+            stream.write_all(&out).expect("client write");
+        }
+        match read_step(&mut stream, &mut buf) {
+            Some(0) => break,
+            Some(n) => client.input(&buf[..n]).expect("client protocol"),
+            None => {}
+        }
+    }
+    drop(stream);
+
+    let report = handle.join().expect("join");
+    assert_eq!(report.snapshot.completed, 1, "in-flight session drained");
+    assert_eq!(report.snapshot.timed_out, 0);
+    assert_eq!(report.ingest.accepted, 1);
+    let store = sessiondb::Store::open(&dir).expect("open store");
+    let recs: Vec<_> = store
+        .scan()
+        .records()
+        .collect::<Result<_, _>>()
+        .expect("intact CRCs");
+    assert_eq!(recs.len(), 1);
+    assert_eq!(recs[0].commands.len(), 1, "the dialogue ran to the end");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Both listeners on two shards at once: every shard accepts from both,
+/// and every session completes without a shed.
+#[test]
+fn two_shards_serve_ssh_and_telnet_side_by_side() {
+    let cfg = ServeConfig {
+        workers: 2,
+        telnet_port: Some(0),
+        stats_interval: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg).expect("start");
+    let ssh = handle.addrs().ssh.expect("ssh addr");
+    let telnet = handle.addrs().telnet.expect("telnet addr");
+    let per_proto = 6u64;
+    std::thread::scope(|scope| {
+        for i in 0..per_proto {
+            scope.spawn(move || {
+                let script = ClientScript::new("root", &["admin"], &[&format!("echo mixed-{i}")]);
+                drive_ssh(ssh, script);
+            });
+            scope.spawn(move || {
+                let script = TelnetScript {
+                    logins: vec![("root".into(), "hunter2".into())],
+                    commands: vec![format!("echo mixed-{i}")],
+                };
+                drive_telnet(telnet, script);
+            });
+        }
+    });
+    let n = 2 * per_proto;
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while handle.stats().completed < n && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let report = handle.join().expect("join");
+    assert_eq!(report.snapshot.accepted, n);
+    assert_eq!(report.snapshot.completed, report.snapshot.accepted);
+    assert_eq!(
+        report.snapshot.shed_capacity + report.snapshot.shed_per_ip,
+        0
+    );
+    assert_eq!(report.ingest.accepted, n);
+}
+
 /// Connects and reads until the server hangs up, tolerating every
 /// error: chaos tests kill connections (or whole shards) mid-dialogue,
 /// and the client must not care how its socket died.

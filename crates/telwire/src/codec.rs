@@ -17,6 +17,11 @@ pub const SB: u8 = 250;
 /// See [`SB`].
 pub const SE: u8 = 240;
 
+/// Longest `IAC SB …` the codec buffers while waiting for its `IAC SE`.
+/// Real subnegotiations (NAWS, TTYPE) are a few bytes; past this bound
+/// an unterminated one is an attack on the parser, not a dialogue.
+pub const MAX_SUBNEGOTIATION: usize = 4096;
+
 /// Option codes the honeynet dialogue uses.
 pub mod opt {
     /// RFC 857 — server echoes input.
@@ -137,6 +142,11 @@ impl TelnetCodec {
                         }
                     }
                     if !terminated {
+                        if buf.len() - i > MAX_SUBNEGOTIATION {
+                            return Err(TelnetError::Protocol(format!(
+                                "subnegotiation exceeds {MAX_SUBNEGOTIATION} bytes"
+                            )));
+                        }
                         self.buf = buf[i..].to_vec();
                         break;
                     }
@@ -261,6 +271,43 @@ mod tests {
             vec![Event::Subnegotiation {
                 option: opt::NAWS,
                 payload: vec![0, 80, 0, 24]
+            }]
+        );
+    }
+
+    #[test]
+    fn oversized_unterminated_subnegotiation_is_an_error() {
+        let mut c = TelnetCodec::new();
+        c.input(&[IAC, SB, opt::TTYPE]);
+        let chunk = [b'x'; 1024];
+        let mut failed_after = None;
+        for k in 1..=64 {
+            c.input(&chunk);
+            if c.drain().is_err() {
+                failed_after = Some(k * chunk.len());
+                break;
+            }
+        }
+        let fed = failed_after.expect("a 64 KiB unterminated SB must error out");
+        assert!(
+            fed <= MAX_SUBNEGOTIATION + chunk.len(),
+            "errored only after {fed} bytes"
+        );
+
+        // A well-formed SB just under the cap still parses.
+        let mut c = TelnetCodec::new();
+        let payload = vec![b'y'; MAX_SUBNEGOTIATION - 8];
+        c.input(&[IAC, SB, opt::TTYPE]);
+        for part in payload.chunks(1024) {
+            c.input(part);
+            assert_eq!(c.drain().unwrap(), vec![]);
+        }
+        c.input(&[IAC, SE]);
+        assert_eq!(
+            c.drain().unwrap(),
+            vec![Event::Subnegotiation {
+                option: opt::TTYPE,
+                payload
             }]
         );
     }

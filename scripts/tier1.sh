@@ -159,4 +159,10 @@ rm -rf "$bar_dir"
 echo "== tier1: serve bench smoke (reactor + polled, zero shed) =="
 cargo bench -p honeylab-bench --bench serve -- --smoke
 
+echo "== tier1: honeybench (metric-name drift guard, tiny replay) =="
+cargo test --manifest-path honeybench/Cargo.toml
+
+echo "== tier1: honeybench smoke (client == server counts, store rows, live == store) =="
+python3 honeybench/run.py --smoke
+
 echo "== tier1: OK =="

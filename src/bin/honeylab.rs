@@ -20,8 +20,8 @@
 //!     omitting it runs every report.
 //!
 //! honeylab serve --ssh-port 2222 --telnet-port 2323 --store live.hsdb
-//!     Serve the honeypot over real TCP sockets: a sharded accept loop
-//!     feeds a worker pool driving the sans-IO SSH/telnet state machines.
+//!     Serve the honeypot over real TCP sockets: worker shards accept
+//!     their own connections and drive the sans-IO SSH/telnet machines.
 //!     Completed sessions stream through the collector into a sessiondb
 //!     store. Ctrl-C (or closing stdin) drains in-flight sessions and
 //!     seals the store.

@@ -38,7 +38,7 @@
 //! | [`abusedb`] | partial-coverage abuse feeds + IP lists |
 //! | [`honeypot`] | Cowrie-like sensor, shell emulator, collector |
 //! | [`sessiondb`] | sharded columnar session store, out-of-core scans |
-//! | [`serve`] | live TCP front-end: sharded accept loop + worker pool |
+//! | [`serve`] | live TCP front-end: worker shards that accept and serve |
 //! | [`botnet`] | 40+ bot archetypes + 33-month campaign driver |
 //! | [`honeylab_core`] | the paper's analysis pipeline and figures |
 
