@@ -62,7 +62,7 @@ impl TopPasswordsAccumulator {
 
     /// Ranks and buckets the accumulated histograms.
     pub fn finish(self) -> TopPasswords {
-        rank(self.per_pw.into_iter().collect(), self.n)
+        rank(self.per_pw.iter(), self.n)
     }
 
     /// Non-consuming form of [`TopPasswordsAccumulator::finish`]: ranks
@@ -70,24 +70,34 @@ impl TopPasswordsAccumulator {
     /// this between pushes; over any stream prefix it equals `finish()`
     /// over that prefix.
     pub fn snapshot(&self) -> TopPasswords {
-        rank(
-            self.per_pw
-                .iter()
-                .map(|(p, s)| (p.clone(), s.clone()))
-                .collect(),
-            self.n,
-        )
+        rank(self.per_pw.iter(), self.n)
     }
 }
 
-/// The shared ranking step behind `finish`/`snapshot`: sort by count
-/// descending (ties lexicographic), keep the top `n`, bucket per month.
-fn rank(mut ranked: Vec<(String, PwStats)>, n: usize) -> TopPasswords {
-    ranked.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
-    ranked.truncate(n);
-    let passwords: Vec<String> = ranked.iter().map(|(p, _)| p.clone()).collect();
+/// Whether `a` ranks above `b`: more sessions first, ties lexicographic.
+/// Passwords are distinct map keys, so this is a strict total order.
+fn outranks(a: (&String, &PwStats), b: (&String, &PwStats)) -> bool {
+    (b.1 .0, a.0) < (a.1 .0, b.0)
+}
+
+/// The shared ranking step behind `finish`/`snapshot`: keeps the top `n`
+/// by reference in a bounded sorted `Vec` (count descending, ties
+/// lexicographic), so a pass over D passwords costs O(D) comparisons
+/// plus an insertion per password that enters the top `n`, and clones
+/// only the winners. Then buckets the winners per month.
+fn rank<'a>(entries: impl Iterator<Item = (&'a String, &'a PwStats)>, n: usize) -> TopPasswords {
+    let mut top: Vec<(&String, &PwStats)> = Vec::with_capacity(n.min(entries.size_hint().0) + 1);
+    for entry in entries {
+        if top.len() == n && !top.last().is_some_and(|&last| outranks(entry, last)) {
+            continue;
+        }
+        let at = top.partition_point(|&t| outranks(t, entry));
+        top.insert(at, entry);
+        top.truncate(n);
+    }
+    let passwords: Vec<String> = top.iter().map(|(p, _)| (*p).clone()).collect();
     let mut by_month: BTreeMap<Month, Vec<u64>> = BTreeMap::new();
-    for (i, (_, (_, months))) in ranked.iter().enumerate() {
+    for (i, (_, (_, months))) in top.iter().enumerate() {
         for (&month, &count) in months {
             by_month
                 .entry(month)
@@ -315,6 +325,58 @@ mod tests {
         assert_eq!(top.passwords, vec!["admin", "1234"]);
         assert_eq!(top.by_month[&Month::new(2022, 3)], vec![2, 1]);
         assert_eq!(top.by_month[&Month::new(2022, 4)], vec![1, 0]);
+    }
+
+    /// The ranking as it stood before `rank` kept its winners by
+    /// reference: clone every entry, sort them all, truncate to `n`.
+    fn rank_by_full_sort(per_pw: &HashMap<String, PwStats>, n: usize) -> TopPasswords {
+        let mut ranked: Vec<(String, PwStats)> =
+            per_pw.iter().map(|(p, s)| (p.clone(), s.clone())).collect();
+        ranked.sort_by(|a, b| b.1 .0.cmp(&a.1 .0).then(a.0.cmp(&b.0)));
+        ranked.truncate(n);
+        let passwords: Vec<String> = ranked.iter().map(|(p, _)| p.clone()).collect();
+        let mut by_month: BTreeMap<Month, Vec<u64>> = BTreeMap::new();
+        for (i, (_, (_, months))) in ranked.iter().enumerate() {
+            for (&month, &count) in months {
+                by_month
+                    .entry(month)
+                    .or_insert_with(|| vec![0; passwords.len()])[i] = count;
+            }
+        }
+        TopPasswords {
+            passwords,
+            by_month,
+        }
+    }
+
+    proptest::proptest! {
+        /// Many tied counts across several months: every `n` from none to
+        /// more than there are passwords ranks exactly like the full sort,
+        /// through both `snapshot` and `finish`.
+        #[test]
+        fn ranking_by_reference_matches_full_sort(
+            draws in proptest::collection::vec(0usize..6 * 24, 0..300),
+            failed_every in 2usize..9,
+        ) {
+            let mut acc = TopPasswordsAccumulator::new(0);
+            for (i, &d) in draws.iter().enumerate() {
+                let (pw, month) = (d % 24, d / 24);
+                let date = Date::new(2022, 1 + month as u8, 1 + (i % 28) as u8);
+                let ok = i % failed_every != 0;
+                acc.push(&rec(date, "root", &format!("pw{pw}"), ok, 0, i as u32));
+            }
+            let d = acc.per_pw.len();
+            for n in [0, 1, 10, d, d + 3] {
+                let want = rank_by_full_sort(&acc.per_pw, n);
+                let live = TopPasswordsAccumulator { n, per_pw: acc.per_pw.clone() };
+                let snap = live.snapshot();
+                proptest::prop_assert_eq!(&snap.passwords, &want.passwords, "snapshot, n = {}", n);
+                proptest::prop_assert_eq!(&snap.by_month, &want.by_month, "snapshot, n = {}", n);
+                let fin = live.finish();
+                proptest::prop_assert_eq!(&fin.passwords, &want.passwords, "finish, n = {}", n);
+                proptest::prop_assert_eq!(&fin.by_month, &want.by_month, "finish, n = {}", n);
+            }
+        }
     }
 
     #[test]

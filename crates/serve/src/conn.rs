@@ -27,18 +27,30 @@ pub type SharedStore = Arc<dyn RemoteStore + Send + Sync>;
 /// the same type serves port 22 and port 23.
 pub struct LiveHandler<'s> {
     policy: AuthPolicy,
-    shell: Shell<'s>,
+    store: &'s dyn RemoteStore,
+    /// Built on the session's first command: most sessions never run
+    /// one, and a parked connection should not carry a shell and its
+    /// file system. `Shell::new` is deterministic, so a record cannot
+    /// tell when it was built; boxing keeps it out of every slab slot.
+    shell: Option<Box<Shell<'s>>>,
     commands: Vec<CommandRecord>,
 }
 
 impl<'s> LiveHandler<'s> {
-    /// New handler over a fresh shell.
+    /// New handler; its shell is built on the first command.
     pub fn new(policy: AuthPolicy, store: &'s dyn RemoteStore) -> Self {
         Self {
             policy,
-            shell: Shell::new(store),
+            store,
+            shell: None,
             commands: Vec::new(),
         }
+    }
+
+    fn shell(&mut self) -> &mut Shell<'s> {
+        let store = self.store;
+        self.shell
+            .get_or_insert_with(|| Box::new(Shell::new(store)))
     }
 }
 
@@ -52,7 +64,7 @@ impl ServerHandler for LiveHandler<'_> {
     }
 
     fn exec(&mut self, command: &str) -> (Vec<u8>, u32) {
-        let outcome = self.shell.exec_line(command);
+        let outcome = self.shell().exec_line(command);
         self.commands.push(CommandRecord {
             input: command.to_string(),
             known: outcome.known,
@@ -68,7 +80,7 @@ impl TelnetHandler for LiveHandler<'_> {
     }
 
     fn exec(&mut self, command: &str) -> String {
-        let outcome = self.shell.exec_line(command);
+        let outcome = self.shell().exec_line(command);
         self.commands.push(CommandRecord {
             input: command.to_string(),
             known: outcome.known,
@@ -198,18 +210,11 @@ impl<'s> Conn<'s> {
 
     fn machine_output(&mut self) -> usize {
         // One copy, straight into pending_out (which may be a pooled
-        // buffer) — no intermediate Vec per pump round.
+        // buffer); the machine keeps its queue's allocation, so a pump
+        // round allocates nothing.
         match &mut self.machine {
-            Machine::Ssh(s) => {
-                let chunk = s.take_output();
-                self.pending_out.extend_from_slice(&chunk);
-                chunk.len()
-            }
-            Machine::Telnet(t) => {
-                let chunk = t.take_output();
-                self.pending_out.extend_from_slice(&chunk);
-                chunk.len()
-            }
+            Machine::Ssh(s) => s.drain_output_into(&mut self.pending_out),
+            Machine::Telnet(t) => t.drain_output_into(&mut self.pending_out),
         }
     }
 
@@ -379,10 +384,26 @@ impl<'s> Conn<'s> {
     /// Converts the finished connection into a [`SessionRecord`],
     /// mirroring `honeypot::wire::run_wire_session`'s conversion.
     pub fn finish(self, sensor: SensorIdentity, stats: &ServeStats) -> SessionRecord {
-        let ending = self.ending.unwrap_or(Ending::Client);
-        let elapsed = self.started.elapsed().as_secs() as i64;
-        let start = DateTime::from_unix(self.start_unix);
-        let end = DateTime::from_unix(self.start_unix + elapsed.max(0));
+        let Conn {
+            stream,
+            machine,
+            _permit: permit,
+            client_ip,
+            client_port,
+            start_unix,
+            started,
+            ending,
+            ..
+        } = self;
+        // Close the socket and hand the admission slot back before the
+        // session counts as completed: whoever sees `completed` move
+        // must also see the slot free.
+        drop(stream);
+        drop(permit);
+        let ending = ending.unwrap_or(Ending::Client);
+        let elapsed = started.elapsed().as_secs() as i64;
+        let start = DateTime::from_unix(start_unix);
+        let end = DateTime::from_unix(start_unix + elapsed.max(0));
         let end_reason = match ending {
             Ending::Timeout => {
                 stats.timed_out.fetch_add(1, Ordering::Relaxed);
@@ -390,7 +411,7 @@ impl<'s> Conn<'s> {
             }
             Ending::Client | Ending::Error => SessionEndReason::ClientClose,
         };
-        let (protocol, client_version, logins, mut handler) = match self.machine {
+        let (protocol, client_version, logins, mut handler) = match machine {
             Machine::Ssh(server) => {
                 let version = server.peer_version().map(str::to_string);
                 let logins: Vec<LoginAttempt> = server
@@ -417,14 +438,18 @@ impl<'s> Conn<'s> {
                 (Protocol::Telnet, None, logins, server.into_handler())
             }
         };
-        let (uris, file_events) = handler.shell.take_observations();
-        stats.completed.fetch_add(1, Ordering::Relaxed);
+        let (uris, file_events) = handler
+            .shell
+            .as_mut()
+            .map(|shell| shell.take_observations())
+            .unwrap_or_default();
+        stats.completed.fetch_add(1, Ordering::Release);
         SessionRecord {
             session_id: 0, // the collector assigns dense ids
             honeypot_id: sensor.honeypot_id,
             honeypot_ip: sensor.honeypot_ip,
-            client_ip: self.client_ip,
-            client_port: self.client_port,
+            client_ip,
+            client_port,
             protocol,
             start,
             end,
@@ -472,4 +497,45 @@ pub fn now_unix() -> i64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use honeypot::shell::NullStore;
+    use sshwire::{ClientScript, SshClient};
+    use telwire::{TelnetClient, TelnetScript};
+
+    fn ssh_handler<'s>(store: &'s NullStore, commands: &[&str]) -> LiveHandler<'s> {
+        let client = SshClient::new(ClientScript::new("root", &["admin"], commands), vec![7]);
+        let server = SshServer::new(
+            LiveHandler::new(AuthPolicy::default(), store),
+            sshwire::SERVER_VERSION_DEFAULT,
+            [0; 16],
+            vec![1],
+        );
+        let (log, handler) = sshwire::run_dialogue(client, server).expect("ssh dialogue");
+        assert_eq!(log.authenticated_user.as_deref(), Some("root"));
+        handler
+    }
+
+    fn telnet_handler<'s>(store: &'s NullStore, commands: &[&str]) -> LiveHandler<'s> {
+        let client = TelnetClient::new(TelnetScript {
+            logins: vec![("root".into(), "admin".into())],
+            commands: commands.iter().map(|c| c.to_string()).collect(),
+        });
+        let server = TelnetServer::new(LiveHandler::new(AuthPolicy::default(), store), "svr04");
+        let (log, handler) = telwire::run_telnet_dialogue(client, server).expect("telnet dialogue");
+        assert!(log.auth_log.iter().any(|(_, _, ok)| *ok));
+        handler
+    }
+
+    #[test]
+    fn shell_is_built_on_the_first_command() {
+        let store = NullStore;
+        assert!(ssh_handler(&store, &[]).shell.is_none());
+        assert!(ssh_handler(&store, &["uname -a"]).shell.is_some());
+        assert!(telnet_handler(&store, &[]).shell.is_none());
+        assert!(telnet_handler(&store, &["uname -a"]).shell.is_some());
+    }
 }

@@ -557,7 +557,10 @@ impl ServeStats {
             shed_capacity: self.shed_capacity.load(Ordering::Relaxed),
             shed_per_ip: self.shed_per_ip.load(Ordering::Relaxed),
             active: self.active.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
+            // Pairs with the `Release` bump in `Conn::finish`, which
+            // comes after the session's slot is released: a reader that
+            // sees a session completed also sees its slot free.
+            completed: self.completed.load(Ordering::Acquire),
             timed_out: self.timed_out.load(Ordering::Relaxed),
             wire_errors: self.wire_errors.load(Ordering::Relaxed),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),

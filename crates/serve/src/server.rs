@@ -602,9 +602,10 @@ impl Acceptor {
 
     /// Accepts up to [`ACCEPT_BATCH`] connections from listener `k` and
     /// hands each to `intake` — counted, admitted, stamped — one at a
-    /// time, with nothing queued in between. Nothing is accepted once
-    /// shutdown is triggered. Returns `true` when an accept error just
-    /// paused accepting.
+    /// time, with nothing queued in between. Shutdown is checked before
+    /// the batch and after every `accept()`, so a connect that lands once
+    /// shutdown is triggered is closed uncounted. Returns `true` when an
+    /// accept error just paused accepting.
     fn accept(&mut self, k: usize, ctx: &ShardCtx, mut intake: impl FnMut(Admitted)) -> bool {
         if self.paused_until.is_some() || ctx.shutdown.load(Ordering::Relaxed) {
             return false;
@@ -639,6 +640,11 @@ impl Acceptor {
                 }
             };
             self.backoff = Duration::from_millis(1);
+            if ctx.shutdown.load(Ordering::Relaxed) {
+                // Shutdown landed mid-batch: close the socket before it
+                // is counted or takes a slot.
+                return false;
+            }
             ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
             let permit = match ctx.gate.admit(fold_peer_ip(peer.ip()), &ctx.stats) {
                 Ok(p) => p,

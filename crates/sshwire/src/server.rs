@@ -37,8 +37,13 @@ enum Phase {
     Closed,
 }
 
+/// Longest identification line a peer may send, CR LF included
+/// (RFC 4253 §4.2). Past it, without a line end, the connection fails.
+pub const MAX_VERSION_LINE: usize = 255;
+
 /// The server endpoint. Feed raw bytes with [`SshServer::input`], drain
-/// output with [`SshServer::take_output`].
+/// output with [`SshServer::take_output`] or
+/// [`SshServer::drain_output_into`].
 pub struct SshServer<H: ServerHandler> {
     handler: H,
     phase: Phase,
@@ -118,6 +123,16 @@ impl<H: ServerHandler> SshServer<H> {
         self.outbuf.split().freeze()
     }
 
+    /// Appends the bytes queued for the peer to `out` and empties the
+    /// queue, keeping its allocation for the next round. Returns how
+    /// many bytes moved.
+    pub fn drain_output_into(&mut self, out: &mut Vec<u8>) -> usize {
+        let n = self.outbuf.len();
+        out.extend_from_slice(&self.outbuf);
+        self.outbuf.clear();
+        n
+    }
+
     /// Consumes the handler, for post-dialogue inspection.
     pub fn into_handler(self) -> H {
         self.handler
@@ -140,9 +155,16 @@ impl<H: ServerHandler> SshServer<H> {
             match self.phase {
                 Phase::Closed => return Ok(()),
                 Phase::VersionExchange => {
-                    let Some(line) = take_line(&mut self.inbuf) else {
+                    let window = &self.inbuf[..self.inbuf.len().min(MAX_VERSION_LINE)];
+                    if !window.contains(&b'\n') {
+                        if self.inbuf.len() >= MAX_VERSION_LINE {
+                            return Err(SshError::BadVersionExchange(format!(
+                                "no line end within {MAX_VERSION_LINE} bytes"
+                            )));
+                        }
                         return Ok(());
-                    };
+                    }
+                    let line = take_line(&mut self.inbuf).expect("line end found above");
                     if !line.starts_with("SSH-2.0-") {
                         return Err(SshError::BadVersionExchange(line));
                     }
@@ -393,6 +415,83 @@ mod tests {
         let err = s.input(b"SSH-1.5-old\r\n").unwrap_err();
         assert!(matches!(err, SshError::BadVersionExchange(_)));
         assert!(s.is_closed());
+    }
+
+    #[test]
+    fn version_line_is_capped_at_255_bytes() {
+        // 64 KiB without a line end, fed 1 KiB at a time: the first
+        // chunk already passes the cap, and the connection fails there.
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        let chunk = [b'A'; 1024];
+        let err = s.input(&chunk).unwrap_err();
+        assert!(matches!(err, SshError::BadVersionExchange(_)));
+        assert!(s.is_closed());
+        for _ in 1..64 {
+            assert!(s.input(&chunk).is_ok(), "a closed machine ignores input");
+        }
+
+        // Byte by byte, the failure comes with the 255th byte, not before.
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        for fed in 1..MAX_VERSION_LINE {
+            assert!(s.input(b"A").is_ok(), "failed after {fed} bytes");
+        }
+        assert!(s.input(b"A").is_err());
+
+        // A line of exactly 255 bytes, CR LF included, still parses; one
+        // byte more does not.
+        let line = |len: usize| {
+            let mut l = b"SSH-2.0-".to_vec();
+            l.resize(len - 2, b'x');
+            l.extend_from_slice(b"\r\n");
+            l
+        };
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        s.input(&line(MAX_VERSION_LINE)).unwrap();
+        assert_eq!(s.peer_version().map(str::len), Some(MAX_VERSION_LINE - 2));
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        assert!(s.input(&line(MAX_VERSION_LINE + 1)).is_err());
+    }
+
+    struct EchoHandler;
+    impl ServerHandler for EchoHandler {
+        fn auth(&mut self, _u: &str, _p: Option<&str>) -> AuthOutcome {
+            AuthOutcome::Accept
+        }
+        fn exec(&mut self, c: &str) -> (Vec<u8>, u32) {
+            (format!("{c}\n").into_bytes(), 0)
+        }
+    }
+
+    #[test]
+    fn wire_buffers_forget_consumed_bytes_over_a_long_dialogue() {
+        use crate::client::{ClientScript, SshClient};
+        let commands: Vec<String> = (0..1000).map(|i| format!("echo {i}")).collect();
+        let cmds: Vec<&str> = commands.iter().map(String::as_str).collect();
+        let mut client = SshClient::new(ClientScript::new("root", &["pw"], &cmds), vec![9]);
+        let mut s = SshServer::new(EchoHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        let mut to_client = Vec::new();
+        let mut moved = 0usize;
+        loop {
+            let to_server = client.take_output();
+            to_client.clear();
+            s.drain_output_into(&mut to_client);
+            if to_server.is_empty() && to_client.is_empty() {
+                break;
+            }
+            moved += to_server.len() + to_client.len();
+            s.input(&to_server).unwrap();
+            client.input(&to_client).unwrap();
+        }
+        assert_eq!(s.exec_log().len(), 1000);
+        assert!(
+            moved > 10 * crate::packet::MAX_PACKET,
+            "moved only {moved} bytes"
+        );
+        let held = s.inbuf.capacity() + s.outbuf.capacity();
+        assert!(
+            held < crate::packet::MAX_PACKET,
+            "wire buffers hold {held} bytes after moving {moved}"
+        );
     }
 
     #[test]

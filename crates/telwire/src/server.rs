@@ -4,7 +4,7 @@
 //! Failed logins re-prompt up to a retry budget, as real telnetd does and
 //! IoT brute-forcers expect.
 
-use crate::codec::{self, opt, Event, TelnetCodec, DO, DONT, WILL, WONT};
+use crate::codec::{self, opt, Event, TelnetCodec, DO, DONT, MAX_SUBNEGOTIATION, WILL, WONT};
 use crate::TelnetError;
 
 /// Policy hooks the honeypot provides.
@@ -26,6 +26,10 @@ enum Phase {
 /// Maximum credential attempts before the server drops the connection
 /// (matching the common `login: incorrect` triple-try behaviour).
 const MAX_AUTH_TRIES: usize = 3;
+
+/// Longest line a peer may send (CR and LF not counted): the same 4 KiB
+/// bound as a pending subnegotiation. Past it the input fails.
+pub const MAX_LINE: usize = MAX_SUBNEGOTIATION;
 
 /// The Telnet server endpoint.
 pub struct TelnetServer<H: TelnetHandler> {
@@ -86,6 +90,16 @@ impl<H: TelnetHandler> TelnetServer<H> {
         std::mem::take(&mut self.outbuf)
     }
 
+    /// Appends the bytes queued for the client to `out` and empties the
+    /// queue, keeping its allocation for the next round. Returns how
+    /// many bytes moved.
+    pub fn drain_output_into(&mut self, out: &mut Vec<u8>) -> usize {
+        let n = self.outbuf.len();
+        out.extend_from_slice(&self.outbuf);
+        self.outbuf.clear();
+        n
+    }
+
     /// Consumes the server, returning the handler.
     pub fn into_handler(self) -> H {
         self.handler
@@ -102,7 +116,7 @@ impl<H: TelnetHandler> TelnetServer<H> {
         for ev in self.codec.drain()? {
             match ev {
                 Event::Negotiate { verb, option } => self.negotiate(verb, option),
-                Event::Data(bytes) => self.data(&bytes),
+                Event::Data(bytes) => self.data(&bytes)?,
                 Event::Subnegotiation { .. } | Event::Command(_) => {}
             }
         }
@@ -124,7 +138,7 @@ impl<H: TelnetHandler> TelnetServer<H> {
         }
     }
 
-    fn data(&mut self, bytes: &[u8]) {
+    fn data(&mut self, bytes: &[u8]) -> Result<(), TelnetError> {
         for &b in bytes {
             match b {
                 b'\r' => {}
@@ -133,9 +147,15 @@ impl<H: TelnetHandler> TelnetServer<H> {
                     self.line.clear();
                     self.on_line(line.trim_end());
                 }
+                _ if self.line.len() >= MAX_LINE => {
+                    return Err(TelnetError::Protocol(format!(
+                        "line exceeds {MAX_LINE} bytes"
+                    )));
+                }
                 _ => self.line.push(b),
             }
         }
+        Ok(())
     }
 
     fn on_line(&mut self, line: &str) {
@@ -250,6 +270,45 @@ mod tests {
         s.input(&[codec::IAC, DO, 99]).unwrap();
         let out = s.take_output();
         assert!(out.windows(3).any(|w| w == codec::negotiate(WONT, 99)));
+    }
+
+    #[test]
+    fn line_is_capped_at_max_line() {
+        // 64 KiB without a line end, fed 1 KiB at a time: fine up to the
+        // cap, an error with the first chunk past it.
+        let mut s = srv();
+        let chunk = [b'a'; 1024];
+        let mut fed = 0;
+        let err = loop {
+            assert!(fed < 64 * 1024, "64 KiB without a line end accepted");
+            fed += chunk.len();
+            if let Err(e) = s.input(&chunk) {
+                break e;
+            }
+        };
+        assert!(matches!(err, TelnetError::Protocol(_)));
+        assert!(
+            fed > MAX_LINE && fed <= MAX_LINE + chunk.len(),
+            "errored after {fed} bytes"
+        );
+
+        // A line of exactly the cap still parses.
+        let mut s = srv();
+        let mut input = vec![b'u'; MAX_LINE];
+        input.extend_from_slice(b"\r\npw\r\n");
+        s.input(&input).unwrap();
+        assert_eq!(s.auth_log().len(), 1);
+        assert_eq!(s.auth_log()[0].0.len(), MAX_LINE);
+    }
+
+    #[test]
+    fn drain_output_into_appends_and_empties_the_queue() {
+        let mut s = srv();
+        let banner = srv().take_output();
+        let mut out = b"held".to_vec();
+        assert_eq!(s.drain_output_into(&mut out), banner.len());
+        assert_eq!(&out[4..], &banner[..]);
+        assert!(s.take_output().is_empty());
     }
 
     #[test]

@@ -13,6 +13,14 @@ cargo build --release
 echo "== tier1: tests =="
 cargo test -q --workspace
 
+echo "== tier1: live socket suite, 10 release runs (ordering races) =="
+# A race between counters, slots and shutdown may fail one run in five;
+# ten runs make it fail the gate instead of slipping through.
+for run in $(seq 1 10); do
+    cargo test -q --release -p serve --test live > /dev/null \
+        || { echo "live suite failed on run $run"; exit 1; }
+done
+
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --all-targets --workspace -- -D warnings
 
