@@ -547,9 +547,7 @@ struct WorkerTally {
 
 /// Runs the barrage against a live server and reports.
 pub fn run(cfg: &BarrageConfig) -> Result<BarrageReport, String> {
-    if !crate::reactor::poller_supported() {
-        return Err("barrage needs a readiness API (unix only)".to_string());
-    }
+    Poller::new().map_err(|e| format!("barrage needs a readiness API: {e}"))?;
     if cfg.sessions == 0 {
         return Err("nothing to do: sessions == 0".to_string());
     }

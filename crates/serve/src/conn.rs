@@ -367,10 +367,8 @@ impl<'s> Conn<'s> {
     }
 
     /// Raw fd for poller registration.
-    #[cfg(unix)]
     pub(crate) fn raw_fd(&self) -> i32 {
-        use std::os::unix::io::AsRawFd;
-        self.stream.as_raw_fd()
+        crate::reactor::sock_fd(&self.stream)
     }
 
     /// Force-closes an in-flight connection (drain timeout during

@@ -1,13 +1,14 @@
 //! The HTTP/1.1 observability front-end (`--http-port`).
 //!
-//! Same architecture as the SSH/Telnet front: one non-blocking accept
-//! thread deals admitted sockets round-robin to a small pool of worker
-//! shards; each shard owns its connections outright and polls them with
-//! non-blocking reads/writes. No HTTP library — the parser below speaks
-//! exactly the subset this plane serves (`GET`, header block, optional
-//! keep-alive/pipelining) and rejects everything else with a bounded
-//! buffer, which is the only defensible posture for a socket that sits
-//! on the same host as a honeypot.
+//! The listener and every connection live on the aggregator thread's
+//! readiness poller (`HttpPlane`): between drains of its session
+//! channel the aggregator accepts, reads and answers whatever is ready,
+//! and it pumps each SSE stream in the pass that rendered its frames.
+//! No HTTP library — the parser below speaks exactly the subset this
+//! plane serves (`GET`, header block, optional keep-alive/pipelining)
+//! and rejects everything else with a bounded buffer, which is the only
+//! defensible posture for a socket that sits on the same host as a
+//! honeypot.
 //!
 //! # Endpoints (all `honeylab-api v1` documents)
 //!
@@ -27,18 +28,19 @@
 //! [`crate::broadcast::SnapshotCell`] — and never touch accumulators,
 //! serving threads, or any lock an accept path could contend on. A
 //! stalled dashboard client therefore costs the honeypot nothing but
-//! one fd and one queue.
+//! one fd and at most [`MAX_PENDING_OUT`] bytes (plus one response or
+//! frame) of queued output.
 
 use crate::broadcast::{EventBus, SnapshotCell, Subscription};
+use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller};
+use crate::server::ACCEPT_BATCH;
+use crate::sse;
 use crate::stats::ApiSnapshot;
-use crate::{sse, ServeError};
 use hutil::{api_envelope, Json};
 use std::io::{ErrorKind, Read, Write};
-use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, Sender, TryRecvError};
+use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Hard cap on one request head (request line + headers). Anything
@@ -49,8 +51,16 @@ pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// door exactly like the honeypot listeners shed.
 pub const MAX_HTTP_CONNECTIONS: usize = 1024;
 
-/// Idle timeout for request/keep-alive connections (SSE streams are
-/// exempt — they idle by design and carry keep-alive comments instead).
+/// Unsent output at which a connection stops reading, parsing and
+/// pulling SSE frames until its peer catches up. A peer that pipelines
+/// requests and never reads holds at most this plus one response; a
+/// stalled SSE subscriber loses frames in its bounded subscription
+/// instead (counted in `dropped_frames`).
+pub const MAX_PENDING_OUT: usize = 64 * 1024;
+
+/// Idle timeout for request/keep-alive connections, closing ones that
+/// cannot flush included (SSE streams are exempt — they idle by design
+/// and carry keep-alive comments instead).
 const HTTP_IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Comment-frame cadence on an idle SSE stream.
@@ -282,14 +292,41 @@ enum Mode {
     Closing,
 }
 
+/// One connection's queued output. The written prefix is dropped once it
+/// outweighs the rest, so a peer that reads slowly but steadily cannot
+/// grow the buffer past twice what is unsent (amortised O(1) per byte).
+#[derive(Default)]
+struct Outbox {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Outbox {
+    /// Bytes queued but not yet written.
+    fn unsent(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn queue(&mut self, bytes: &[u8]) {
+        if self.pos > 0 && self.pos >= self.unsent() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        self.buf.extend_from_slice(bytes);
+    }
+}
+
 struct HttpConn {
     stream: TcpStream,
     parser: RequestParser,
-    out: Vec<u8>,
-    out_pos: usize,
+    out: Outbox,
     mode: Mode,
     last_activity: Instant,
     last_sse_write: Instant,
+    /// The last pump ran out of budget with work left; writable interest
+    /// brings the connection back on a later pass.
+    yielded: bool,
+    armed: Interest,
 }
 
 impl HttpConn {
@@ -297,299 +334,348 @@ impl HttpConn {
         Self {
             stream,
             parser: RequestParser::new(),
-            out: Vec::new(),
-            out_pos: 0,
+            out: Outbox::default(),
             mode: Mode::Request,
             last_activity: Instant::now(),
             last_sse_write: Instant::now(),
+            yielded: false,
+            armed: Interest::READ,
         }
     }
 
-    fn queue(&mut self, bytes: &[u8]) {
-        if self.out_pos == self.out.len() {
-            self.out.clear();
-            self.out_pos = 0;
-        }
-        self.out.extend_from_slice(bytes);
+    /// Whether the connection takes more input, requests or frames: not
+    /// once it is closing, and not while its unsent output is at the cap.
+    fn takes_work(&self) -> bool {
+        !matches!(self.mode, Mode::Closing) && self.out.unsent() < MAX_PENDING_OUT
     }
 
-    /// Pushes buffered output to the socket. `Ok(true)` if fully
-    /// flushed.
-    fn flush(&mut self) -> std::io::Result<bool> {
-        while self.out_pos < self.out.len() {
-            match self.stream.write(&self.out[self.out_pos..]) {
+    /// What the poller should report for this connection.
+    fn interest(&self) -> Interest {
+        if self.takes_work() {
+            conn_interest(self.out.unsent() > 0 || self.yielded)
+        } else {
+            Interest::WRITE
+        }
+    }
+
+    /// Pushes buffered output to the socket until it would block.
+    fn flush(&mut self) -> std::io::Result<()> {
+        while self.out.unsent() > 0 {
+            match self.stream.write(&self.out.buf[self.out.pos..]) {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(n) => {
-                    self.out_pos += n;
+                    self.out.pos += n;
                     self.last_activity = Instant::now();
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
             }
         }
-        Ok(true)
+        Ok(())
     }
 
-    /// One poll round. `true` = finished, remove the connection.
-    fn pump(&mut self, cell: &SnapshotCell<ApiSnapshot>, bus: &EventBus, draining: bool) -> bool {
-        // Write side first: drain whatever is queued.
-        let flushed = match self.flush() {
-            Ok(f) => f,
-            Err(_) => return true,
-        };
-        match &self.mode {
-            Mode::Closing => return flushed,
-            Mode::Events(_) if draining => {
-                // Shutdown: SSE streams end now (flushed or not — the
-                // subscriber will reconnect against the next process).
-                return true;
-            }
-            _ => {}
-        }
-
-        // Read side.
-        let mut buf = [0u8; 4096];
-        loop {
-            match self.stream.read(&mut buf) {
-                Ok(0) => return true, // peer closed
-                Ok(n) => {
-                    self.last_activity = Instant::now();
-                    if matches!(self.mode, Mode::Request) {
-                        self.parser.push(&buf[..n]);
-                    }
-                    // Bytes on an SSE stream are ignored (clients send
-                    // nothing after the request).
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return true,
-            }
-        }
-
-        // Serve parsed requests.
-        while matches!(self.mode, Mode::Request) {
-            match self.parser.next_request() {
-                Ok(None) => break,
-                Ok(Some(req)) => {
-                    let snap = cell.load();
-                    match route(&req, &snap) {
+    /// Answers parsed requests, or moves queued SSE frames to the output,
+    /// while the output is under the cap. A stalled subscriber's frames
+    /// stay in its bounded subscription, where the excess drops.
+    fn fill(&mut self, cell: &SnapshotCell<ApiSnapshot>, bus: &EventBus) {
+        while self.takes_work() {
+            match &self.mode {
+                Mode::Request => match self.parser.next_request() {
+                    Ok(None) => return,
+                    Ok(Some(req)) => match route(&req, &cell.load()) {
                         Routed::Json { status, doc } => {
                             let keep = req.keep_alive && status == 200;
-                            let resp = json_response(status, &doc, keep);
-                            self.queue(&resp);
+                            self.out.queue(&json_response(status, &doc, keep));
                             if !keep {
                                 self.mode = Mode::Closing;
                             }
                         }
                         Routed::EventStream => {
-                            self.queue(
+                            self.out.queue(
                                 b"HTTP/1.1 200 OK\r\nContent-Type: text/event-stream\r\nCache-Control: no-cache\r\nAccess-Control-Allow-Origin: *\r\nConnection: close\r\n\r\n",
                             );
-                            self.queue(sse::keep_alive().as_bytes());
+                            self.out.queue(sse::keep_alive().as_bytes());
                             self.mode = Mode::Events(bus.subscribe());
                             self.last_sse_write = Instant::now();
                         }
+                    },
+                    Err(err) => {
+                        let (status, msg) = match err {
+                            ParseError::TooLarge => (431, "request head too large"),
+                            ParseError::Malformed => (400, "malformed request"),
+                        };
+                        self.out
+                            .queue(&json_response(status, &error_json(status, msg), false));
+                        self.mode = Mode::Closing;
                     }
+                },
+                Mode::Events(sub) => {
+                    let Some(frame) = sub.try_next() else { return };
+                    self.out.queue(frame.as_bytes());
+                    self.last_sse_write = Instant::now();
                 }
-                Err(err) => {
-                    let (status, msg) = match err {
-                        ParseError::TooLarge => (431, "request head too large"),
-                        ParseError::Malformed => (400, "malformed request"),
-                    };
-                    let resp = json_response(status, &error_json(status, msg), false);
-                    self.queue(&resp);
-                    self.mode = Mode::Closing;
-                }
+                Mode::Closing => return,
             }
         }
+    }
 
-        // Shutdown: answer what was already parsed, then close rather
-        // than idling a keep-alive connection through the drain window.
-        if draining && matches!(self.mode, Mode::Request) {
-            self.mode = Mode::Closing;
+    /// One readiness pump: answer and read until the socket runs dry,
+    /// the output reaches the cap or the budget is spent, then write.
+    /// `true` = finished, remove the connection.
+    fn pump(&mut self, cell: &SnapshotCell<ApiSnapshot>, bus: &EventBus, draining: bool) -> bool {
+        if draining && matches!(self.mode, Mode::Events(_)) {
+            // Shutdown ends SSE streams now (flushed or not — the
+            // subscriber will reconnect against the next process).
+            return true;
         }
-
-        // SSE: move queued frames from the subscription to the socket.
-        if let Mode::Events(sub) = &self.mode {
-            let mut wrote = false;
-            let mut frames = Vec::new();
-            while let Some(frame) = sub.try_next() {
-                frames.push(frame);
+        let mut buf = [0u8; 4096];
+        self.yielded = true;
+        for _ in 0..PUMP_BUDGET {
+            self.fill(cell, bus);
+            if self.takes_work() {
+                match self.stream.read(&mut buf) {
+                    Ok(0) => return true, // peer closed
+                    Ok(n) => {
+                        self.last_activity = Instant::now();
+                        // Bytes on an SSE stream are ignored (clients
+                        // send nothing after the request).
+                        if matches!(self.mode, Mode::Request) {
+                            self.parser.push(&buf[..n]);
+                        }
+                        continue;
+                    }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                    Err(_) => return true,
+                }
             }
-            for frame in frames {
-                self.queue(frame.as_bytes());
-                wrote = true;
+            // Shutdown: answer what was already parsed, then close rather
+            // than idling a keep-alive connection through the drain.
+            if draining && matches!(self.mode, Mode::Request) {
+                self.mode = Mode::Closing;
             }
-            if !wrote && self.last_sse_write.elapsed() >= SSE_KEEPALIVE {
-                self.queue(sse::keep_alive().as_bytes());
-                wrote = true;
-            }
-            if wrote {
-                self.last_sse_write = Instant::now();
-            }
+            let capped = !self.takes_work();
             if self.flush().is_err() {
                 return true;
             }
-            return false; // SSE streams have no idle timeout
-        }
-
-        let _ = self.flush();
-        if matches!(self.mode, Mode::Closing) && self.out_pos == self.out.len() {
-            return true;
-        }
-        self.last_activity.elapsed() >= HTTP_IDLE_TIMEOUT
-    }
-}
-
-// --- plane orchestration -------------------------------------------------
-
-/// A running HTTP plane: the bound address plus its threads.
-pub struct HttpHandle {
-    /// Bound listener address (ephemeral port resolved).
-    pub addr: SocketAddr,
-    accept_thread: JoinHandle<()>,
-    workers: Vec<JoinHandle<()>>,
-}
-
-impl HttpHandle {
-    /// Waits for the accept loop and every worker to exit; returns the
-    /// name of the first panicked thread, if any.
-    pub fn join(self) -> Result<(), (String, String)> {
-        let mut failure = None;
-        let mut note = |name: &str, r: std::thread::Result<()>| {
-            if let Err(p) = r {
-                if failure.is_none() {
-                    failure = Some((name.to_string(), honeypot::panic_message(p.as_ref())));
-                }
+            // Go round again only if writing made room for work that
+            // waited on the cap.
+            if !(capped && self.takes_work()) {
+                self.yielded = false;
+                break;
             }
-        };
-        note("http-accept", self.accept_thread.join());
-        for (i, w) in self.workers.into_iter().enumerate() {
-            note(&format!("http-worker-{i}"), w.join());
         }
-        match failure {
-            None => Ok(()),
-            Some(f) => Err(f),
-        }
+        matches!(self.mode, Mode::Closing) && self.out.unsent() == 0
     }
 }
 
-/// Binds the HTTP listener and spawns its accept + worker threads.
-pub fn start(
-    bind: IpAddr,
-    port: u16,
-    workers: usize,
+// --- the plane on the aggregator's poller --------------------------------
+
+/// Reads or write rounds one pump may take before the aggregator moves
+/// on; a peer with work left is resumed on a later pass.
+const PUMP_BUDGET: usize = 16;
+
+/// The listener's poller token; connections register under their slot
+/// index.
+const LISTENER: u64 = u64::MAX;
+
+/// The observability plane as the aggregator thread runs it: the
+/// listener and every connection on one readiness poller. Without
+/// `--http-port` the poller watches nothing and [`HttpPlane::wait`] is a
+/// plain sleep.
+pub(crate) struct HttpPlane {
+    poller: Poller,
+    events: Vec<Event>,
+    listener: Option<TcpListener>,
+    /// Whether the listener is registered; an accept error unregisters
+    /// it until the next sweep.
+    listening: bool,
+    conns: Vec<Option<HttpConn>>,
+    free: Vec<usize>,
+    live: usize,
+    draining: bool,
     cell: Arc<SnapshotCell<ApiSnapshot>>,
     bus: Arc<EventBus>,
-    shutdown: Arc<AtomicBool>,
-) -> Result<HttpHandle, ServeError> {
-    let addr = SocketAddr::new(bind, port);
-    let listener = TcpListener::bind(addr).map_err(|e| ServeError::Bind {
-        addr: addr.to_string(),
-        source: e,
-    })?;
-    listener
-        .set_nonblocking(true)
-        .map_err(|e| ServeError::Bind {
-            addr: addr.to_string(),
-            source: e,
-        })?;
-    let addr = listener.local_addr().map_err(|e| ServeError::Bind {
-        addr: "<bound>".into(),
-        source: e,
-    })?;
-
-    let workers = workers.max(1);
-    let mut senders: Vec<Sender<TcpStream>> = Vec::with_capacity(workers);
-    let mut worker_threads = Vec::with_capacity(workers);
-    for i in 0..workers {
-        let (tx, rx) = std::sync::mpsc::channel::<TcpStream>();
-        senders.push(tx);
-        let cell = Arc::clone(&cell);
-        let bus = Arc::clone(&bus);
-        let shutdown = Arc::clone(&shutdown);
-        worker_threads.push(
-            std::thread::Builder::new()
-                .name(format!("http-worker-{i}"))
-                .spawn(move || worker_loop(&rx, &cell, &bus, &shutdown))
-                .expect("spawn http worker"),
-        );
-    }
-
-    let accept_thread = {
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name("http-accept".into())
-            .spawn(move || accept_loop(listener, senders, &shutdown))
-            .expect("spawn http accept thread")
-    };
-
-    Ok(HttpHandle {
-        addr,
-        accept_thread,
-        workers: worker_threads,
-    })
 }
 
-fn accept_loop(listener: TcpListener, senders: Vec<Sender<TcpStream>>, shutdown: &AtomicBool) {
-    let mut n: usize = 0;
-    while !shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                if stream.set_nonblocking(true).is_err() {
-                    continue;
-                }
-                let _ = stream.set_nodelay(true);
-                let shard = n % senders.len();
-                n = n.wrapping_add(1);
-                let _ = senders[shard].send(stream); // teardown: drop = close
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
+impl HttpPlane {
+    /// A plane serving `listener` (nonblocking), if any, from `cell` and
+    /// `bus`.
+    pub(crate) fn new(
+        poller: Poller,
+        listener: Option<TcpListener>,
+        cell: Arc<SnapshotCell<ApiSnapshot>>,
+        bus: Arc<EventBus>,
+    ) -> Self {
+        let mut plane = HttpPlane {
+            poller,
+            events: Vec::new(),
+            listener,
+            listening: false,
+            conns: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            draining: false,
+            cell,
+            bus,
+        };
+        plane.listen();
+        plane
+    }
+
+    /// Registers the listener if it is not already.
+    fn listen(&mut self) {
+        if let (Some(l), false) = (&self.listener, self.listening) {
+            self.listening = self
+                .poller
+                .register(sock_fd(l), LISTENER, Interest::READ)
+                .is_ok();
         }
     }
-    // Listener drops here: further connects are refused during drain.
-}
 
-fn worker_loop(
-    rx: &Receiver<TcpStream>,
-    cell: &SnapshotCell<ApiSnapshot>,
-    bus: &EventBus,
-    shutdown: &AtomicBool,
-) {
-    let mut conns: Vec<HttpConn> = Vec::new();
-    let mut intake_open = true;
-    loop {
-        while intake_open {
-            match rx.try_recv() {
-                Ok(stream) => {
-                    if conns.len() >= MAX_HTTP_CONNECTIONS {
-                        drop(stream); // shed at the door
-                        continue;
-                    }
-                    conns.push(HttpConn::new(stream));
+    /// Blocks until a socket is ready or `timeout` passes.
+    pub(crate) fn wait(&mut self, timeout: Duration) {
+        if self.poller.wait(timeout, &mut self.events).is_err() {
+            self.events.clear();
+        }
+    }
+
+    /// Accepts and pumps whatever the last [`HttpPlane::wait`] reported.
+    pub(crate) fn serve_ready(&mut self) {
+        for k in 0..self.events.len() {
+            match self.events[k].token {
+                LISTENER => self.accept(),
+                token => self.pump(token as usize),
+            }
+        }
+    }
+
+    /// Pumps every SSE stream, so frames leave in the pass that rendered
+    /// them.
+    pub(crate) fn pump_streams(&mut self) {
+        for i in 0..self.conns.len() {
+            if matches!(&self.conns[i], Some(c) if matches!(c.mode, Mode::Events(_))) {
+                self.pump(i);
+            }
+        }
+    }
+
+    /// The publish-tick sweep: request connections idle past
+    /// [`HTTP_IDLE_TIMEOUT`] close (flushed or not), quiet SSE streams
+    /// get a keep-alive comment, and a listener an accept error paused
+    /// is registered again.
+    pub(crate) fn sweep(&mut self, now: Instant) {
+        if !self.draining {
+            self.listen();
+        }
+        for i in 0..self.conns.len() {
+            let Some(conn) = self.conns[i].as_mut() else {
+                continue;
+            };
+            if matches!(conn.mode, Mode::Events(_)) {
+                if now.duration_since(conn.last_sse_write) >= SSE_KEEPALIVE && conn.takes_work() {
+                    conn.out.queue(sse::keep_alive().as_bytes());
+                    conn.last_sse_write = now;
+                    self.pump(i);
                 }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => intake_open = false,
+            } else if now.duration_since(conn.last_activity) >= HTTP_IDLE_TIMEOUT {
+                self.close(i);
             }
         }
-        let draining = shutdown.load(Ordering::Relaxed);
-        let mut i = 0;
-        while i < conns.len() {
-            if conns[i].pump(cell, bus, draining) {
-                conns.swap_remove(i);
-            } else {
-                i += 1;
-            }
-        }
-        if conns.is_empty() && !intake_open {
+    }
+
+    /// Shutdown: the listener closes, SSE streams end, and request
+    /// connections close once their parsed requests are answered.
+    pub(crate) fn drain(&mut self) {
+        if self.draining {
             return;
         }
-        std::thread::sleep(Duration::from_millis(if conns.is_empty() { 5 } else { 1 }));
+        self.draining = true;
+        if let Some(listener) = self.listener.take() {
+            let _ = self.poller.deregister(sock_fd(&listener));
+        }
+        for i in 0..self.conns.len() {
+            self.pump(i);
+        }
+    }
+
+    fn accept(&mut self) {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        for _ in 0..ACCEPT_BATCH {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        ErrorKind::Interrupted
+                            | ErrorKind::ConnectionAborted
+                            | ErrorKind::ConnectionReset
+                    ) =>
+                {
+                    continue
+                }
+                Err(_) => {
+                    // Descriptor exhaustion and the like: a readable
+                    // listener would spin the poller, so stop watching
+                    // it until the next sweep.
+                    let _ = self.poller.deregister(sock_fd(listener));
+                    self.listening = false;
+                    return;
+                }
+            };
+            if self.live >= MAX_HTTP_CONNECTIONS || stream.set_nonblocking(true).is_err() {
+                continue; // shed at the door
+            }
+            let _ = stream.set_nodelay(true);
+            let i = self.free.pop().unwrap_or_else(|| {
+                self.conns.push(None);
+                self.conns.len() - 1
+            });
+            if self
+                .poller
+                .register(sock_fd(&stream), i as u64, Interest::READ)
+                .is_err()
+            {
+                self.free.push(i);
+                continue;
+            }
+            self.conns[i] = Some(HttpConn::new(stream));
+            self.live += 1;
+        }
+    }
+
+    /// Pumps slot `i` and re-arms or closes it. The pump runs under
+    /// `catch_unwind`, as a shard's connection pumps do: a bug on the
+    /// dashboard path drops one connection, not the aggregator.
+    fn pump(&mut self, i: usize) {
+        let Some(conn) = self.conns.get_mut(i).and_then(Option::as_mut) else {
+            return;
+        };
+        let (cell, bus, draining) = (&*self.cell, &*self.bus, self.draining);
+        let finished =
+            catch_unwind(AssertUnwindSafe(|| conn.pump(cell, bus, draining))).unwrap_or(true);
+        if finished {
+            return self.close(i);
+        }
+        let want = conn.interest();
+        if want != conn.armed {
+            let _ = self
+                .poller
+                .reregister(sock_fd(&conn.stream), i as u64, want);
+            conn.armed = want;
+        }
+    }
+
+    fn close(&mut self, i: usize) {
+        if let Some(conn) = self.conns[i].take() {
+            let _ = self.poller.deregister(sock_fd(&conn.stream));
+            self.free.push(i);
+            self.live -= 1;
+        }
     }
 }
 
@@ -737,6 +823,93 @@ mod tests {
             Routed::Json { status, .. } => assert_eq!(status, 405),
             _ => panic!("405 expected"),
         }
+    }
+
+    /// A connected pair on loopback: (client, nonblocking server side).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        (client, server)
+    }
+
+    #[test]
+    fn a_pipelining_peer_that_never_reads_holds_at_most_the_cap_plus_one_response() {
+        let (cell, _publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::sample()));
+        let bus = EventBus::new();
+        let one_response = json_response(200, &cell.load().stats_json(), true).len();
+        let (mut client, server) = socket_pair();
+        let writer = std::thread::spawn(move || {
+            let req = b"GET /api/stats HTTP/1.1\r\nHost: t\r\n\r\n";
+            for _ in 0..20_000 {
+                if client.write_all(req).is_err() {
+                    break; // the server side closed: the test is over
+                }
+            }
+            client // held open, never read
+        });
+        let mut conn = HttpConn::new(server);
+        for _ in 0..300 {
+            assert!(!conn.pump(&cell, &bus, false), "the peer is still there");
+            assert!(
+                conn.out.unsent() <= MAX_PENDING_OUT + one_response,
+                "{} bytes queued for a peer that never reads",
+                conn.out.unsent()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(
+            conn.out.unsent() >= MAX_PENDING_OUT,
+            "the cap was reached, so the bound above was tested"
+        );
+        assert_eq!(conn.interest(), Interest::WRITE, "reading has stopped");
+        drop(conn);
+        writer.join().unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_stalled_subscriber_drops_frames_instead_of_queueing_them() {
+        use std::os::unix::io::AsRawFd;
+        extern "C" {
+            fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        }
+        const SOL_SOCKET: i32 = 1;
+        const SO_RCVBUF: i32 = 8;
+
+        let (cell, _publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::sample()));
+        let bus = EventBus::new();
+        let (mut client, server) = socket_pair();
+        let rcvbuf: i32 = 4096;
+        let rc = unsafe { setsockopt(client.as_raw_fd(), SOL_SOCKET, SO_RCVBUF, &rcvbuf, 4) };
+        assert_eq!(rc, 0, "setsockopt(SO_RCVBUF)");
+        client.write_all(b"GET /events HTTP/1.1\r\n\r\n").unwrap();
+        let mut conn = HttpConn::new(server);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !matches!(conn.mode, Mode::Events(_)) {
+            assert!(Instant::now() < deadline, "never subscribed");
+            assert!(!conn.pump(&cell, &bus, false));
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let frame = sse::frame("session", &"x".repeat(1000));
+        for _ in 0..10_000 {
+            bus.publish(frame.clone());
+            assert!(
+                !conn.pump(&cell, &bus, false),
+                "the subscriber is still there"
+            );
+            assert!(
+                conn.out.unsent() <= MAX_PENDING_OUT + frame.len(),
+                "{} bytes queued for a subscriber that never reads",
+                conn.out.unsent()
+            );
+        }
+        assert!(
+            bus.dropped_frames() > 0,
+            "the excess dropped and was counted"
+        );
+        drop(client);
     }
 
     #[test]

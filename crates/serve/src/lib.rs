@@ -15,7 +15,7 @@
 //!                                 │ completed sessions
 //!                                 ├──────────────► honeypot::Collector ── sessiondb store
 //!                                 ▼
-//!                          aggregator (drains every 10 ms) ── /api/*, SSE, stats line
+//!   http listener ──────► aggregator (one poller, 10 ms drain tick) ── /api/*, SSE, stats line
 //! ```
 //!
 //! * **Shards accept their own sockets** — every worker *shard* watches
@@ -87,8 +87,14 @@ pub enum ServeError {
         /// Collector error message.
         message: String,
     },
-    /// A server thread (supervisor, stats, HTTP) panicked; the
-    /// run's data was still sealed, but the process was unhealthy.
+    /// No readiness poller could be created: the host has no readiness
+    /// API (non-unix), or no descriptor was left for one.
+    Poller {
+        /// The OS error.
+        source: std::io::Error,
+    },
+    /// A server thread (supervisor or aggregator) panicked; the run's
+    /// data was still sealed, but the process was unhealthy.
     ThreadPanicked {
         /// Thread that died.
         thread: String,
@@ -102,6 +108,9 @@ impl std::fmt::Display for ServeError {
         match self {
             ServeError::NoListeners => write!(f, "no ports configured: nothing to serve"),
             ServeError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
+            ServeError::Poller { source } => {
+                write!(f, "cannot create a readiness poller: {source}")
+            }
             ServeError::Store { message } => write!(f, "session store failed: {message}"),
             ServeError::Collector { message } => write!(f, "collector failed: {message}"),
             ServeError::ThreadPanicked { thread, message } => {
@@ -137,41 +146,6 @@ impl ChaosConfig {
 }
 
 impl std::error::Error for ServeError {}
-
-/// Which serving engine drives the worker shards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Readiness-driven reactor shards: epoll (Linux) or poll(2)
-    /// (other unixes) over the listeners and the shard's own
-    /// connections, timer-wheel deadlines.
-    /// The default wherever a readiness API exists.
-    #[default]
-    Reactor,
-    /// The legacy nap-based polling shards, kept as the measurable
-    /// baseline (`honeylab serve --engine polled`) and as the fallback
-    /// on platforms without a readiness API. Its naps are adaptive
-    /// (spin → yield → park) rather than fixed.
-    Polled,
-}
-
-impl Engine {
-    /// Parses a CLI value.
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "reactor" => Some(Engine::Reactor),
-            "polled" => Some(Engine::Polled),
-            _ => None,
-        }
-    }
-
-    /// The CLI spelling.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Polled => "polled",
-        }
-    }
-}
 
 /// Tuning knobs for a live server. The defaults are sized for the
 /// loopback smoke tests; a production deployment raises the cap and the
@@ -222,13 +196,8 @@ pub struct ServeConfig {
     /// Observability HTTP listener port (`Some(0)` picks an ephemeral
     /// port); `None` disables the HTTP plane.
     pub http_port: Option<u16>,
-    /// Worker threads for the HTTP plane.
-    pub http_workers: usize,
     /// How many completed sessions `/api/sessions/recent` retains.
     pub recent_tail: usize,
-    /// Which serving engine drives the shards (reactor by default;
-    /// polled is the measurable baseline / non-unix fallback).
-    pub engine: Engine,
 }
 
 impl Default for ServeConfig {
@@ -254,9 +223,7 @@ impl Default for ServeConfig {
             fsync: FsyncPolicy::default(),
             chaos: ChaosConfig::default(),
             http_port: None,
-            http_workers: 2,
             recent_tail: 64,
-            engine: Engine::default(),
         }
     }
 }
@@ -280,9 +247,6 @@ impl ServeConfig {
         }
         if self.workers == 0 {
             return Err(ConfigError::ZeroWorkers { plane: "serve" });
-        }
-        if self.http_port.is_some() && self.http_workers == 0 {
-            return Err(ConfigError::ZeroWorkers { plane: "http" });
         }
         if self.drain_timeout > self.session_timeout {
             return Err(ConfigError::DrainExceedsSessionTimeout {
@@ -311,7 +275,7 @@ pub enum ConfigError {
     NoListeners,
     /// A worker pool was sized to zero threads.
     ZeroWorkers {
-        /// Which pool (`"serve"` or `"http"`).
+        /// Which pool (`"serve"`).
         plane: &'static str,
     },
     /// The drain window cannot exceed the session ceiling — a drain
@@ -394,12 +358,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// HTTP worker count.
-    pub fn http_workers(mut self, n: usize) -> Self {
-        self.cfg.http_workers = n;
-        self
-    }
-
     /// Global concurrent-connection cap.
     pub fn max_connections(mut self, n: usize) -> Self {
         self.cfg.max_connections = n;
@@ -475,12 +433,6 @@ impl ServeConfigBuilder {
     /// `/api/sessions/recent` tail depth.
     pub fn recent_tail(mut self, n: usize) -> Self {
         self.cfg.recent_tail = n;
-        self
-    }
-
-    /// Serving engine (reactor or polled baseline).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.cfg.engine = engine;
         self
     }
 

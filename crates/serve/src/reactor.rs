@@ -1,7 +1,6 @@
 //! Readiness-driven reactor primitives: a dependency-free poller
 //! (epoll on Linux, poll(2) on other unixes) that several shards can
-//! share listening sockets through, a coarse timer wheel, and an
-//! adaptive backoff for the paths that still have to wait.
+//! share listening sockets through, and a coarse timer wheel.
 //!
 //! Like [`crate::signal`], the OS surface is a tiny hand-declared FFI
 //! shim — no libc crate, no mio. Everything here is allocation-light on
@@ -28,6 +27,12 @@ impl Interest {
     /// Read+write interest — armed while output is queued.
     pub const READ_WRITE: Interest = Interest {
         readable: true,
+        writable: true,
+    };
+    /// Write-only interest — a connection that has stopped reading
+    /// until its queued output drains.
+    pub const WRITE: Interest = Interest {
+        readable: false,
         writable: true,
     };
 }
@@ -83,9 +88,9 @@ mod sys {
     }
 
     fn mask(interest: Interest) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if interest.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if interest.writable {
             m |= EPOLLOUT;
@@ -311,9 +316,8 @@ mod sys {
 }
 
 // ---------------------------------------------------------------------------
-// Non-unix: no readiness API without a dependency. The server falls
-// back to the polled engine there; constructing a Poller reports
-// Unsupported so callers can make that choice at runtime.
+// Non-unix: no readiness API without a dependency. Constructing a
+// Poller reports Unsupported, and `Server::start` refuses to serve.
 // ---------------------------------------------------------------------------
 
 #[cfg(not(unix))]
@@ -355,9 +359,17 @@ mod sys {
 
 pub use sys::Poller;
 
-/// Whether this build has a real readiness backend.
-pub fn poller_supported() -> bool {
-    cfg!(unix)
+/// The descriptor a socket registers with a [`Poller`] under.
+#[cfg(unix)]
+pub fn sock_fd(socket: &impl std::os::unix::io::AsRawFd) -> i32 {
+    socket.as_raw_fd()
+}
+
+/// No descriptors without a readiness API; the stub poller is never
+/// constructed, so nothing registers one.
+#[cfg(not(unix))]
+pub fn sock_fd<S>(_socket: &S) -> i32 {
+    -1
 }
 
 // ---------------------------------------------------------------------------
@@ -449,50 +461,6 @@ impl TimerWheel {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Backoff: the paths that still have to wait (polled shards, the
-// supervisor, the HTTP plane) escalate spin → yield → park instead of
-// sleeping a constant.
-// ---------------------------------------------------------------------------
-
-/// Adaptive wait for loops with nothing to do: a few spin hints, then
-/// scheduler yields, then exponentially growing parks up to `cap`.
-/// Reset on any progress.
-pub struct Backoff {
-    step: u32,
-    cap: Duration,
-}
-
-impl Backoff {
-    /// A backoff whose longest park is `cap`.
-    pub fn new(cap: Duration) -> Backoff {
-        Backoff { step: 0, cap }
-    }
-
-    /// Signal progress: the next wait starts from a spin again.
-    pub fn reset(&mut self) {
-        self.step = 0;
-    }
-
-    /// Wait a little, escalating each consecutive call.
-    pub fn wait(&mut self) {
-        match self.step {
-            0..=2 => {
-                for _ in 0..(1 << self.step) {
-                    std::hint::spin_loop();
-                }
-            }
-            3..=5 => std::thread::yield_now(),
-            s => {
-                let exp = (s - 6).min(10);
-                let park = Duration::from_micros(20u64 << exp).min(self.cap);
-                std::thread::sleep(park);
-            }
-        }
-        self.step = self.step.saturating_add(1);
-    }
-}
-
 /// Interest for a connection: always readable, writable only while
 /// output is queued (level-triggered, so writable interest on an idle
 /// socket would busy-spin the poller).
@@ -522,17 +490,6 @@ mod tests {
         expired.clear();
         wheel.advance(t0 + Duration::from_millis(520), &mut expired);
         assert_eq!(expired, vec![(2, 0)], "wrapped entry fires after re-hash");
-    }
-
-    #[test]
-    fn backoff_escalates_and_resets() {
-        let mut b = Backoff::new(Duration::from_millis(1));
-        for _ in 0..20 {
-            b.wait(); // must terminate promptly even at max escalation
-        }
-        assert!(b.step > 6);
-        b.reset();
-        assert_eq!(b.step, 0);
     }
 
     #[cfg(unix)]

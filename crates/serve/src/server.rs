@@ -1,24 +1,18 @@
 //! Server orchestration: listeners, supervised worker shards that accept
-//! their own connections, the stats/observability aggregator, the HTTP
-//! plane, and graceful drain.
+//! their own connections, the stats/observability aggregator that also
+//! serves the HTTP plane, and graceful drain.
 //!
-//! # Engines
+//! # Shards
 //!
-//! Two shard engines share all of this orchestration (admission,
-//! chaos, supervision, drain, capture):
-//!
-//! * [`Engine::Reactor`] (default) — readiness-driven: each shard owns
-//!   a [`crate::reactor::Poller`] (epoll on Linux) plus a timer wheel,
-//!   and registers every listening socket in it beside its own
-//!   connections. On Linux the listener registrations are exclusive, so
-//!   one waiting shard wakes per incoming connection. That shard
-//!   accepts, admits and first-pumps the connection on its own thread:
-//!   no intake queue, no cross-thread wakeup. Connections are pumped
-//!   only when their socket is ready or their deadline fires.
-//! * [`Engine::Polled`] — the original scan-everything loop, kept as
-//!   the measurable baseline and the fallback where no readiness API
-//!   exists. It tries every listener at the top of each scan round; its
-//!   naps are adaptive (spin → yield → park).
+//! Each shard owns a [`crate::reactor::Poller`] (epoll on Linux,
+//! poll(2) on other unixes) plus a timer wheel, and registers every
+//! listening socket in it beside its own connections. On Linux the
+//! listener registrations are exclusive, so one waiting shard wakes per
+//! incoming connection. That shard accepts, admits and first-pumps the
+//! connection on its own thread: no intake queue, no cross-thread
+//! wakeup. Connections are pumped only when their socket is ready or
+//! their deadline fires. Without a readiness API (non-unix hosts)
+//! [`Server::start`] refuses to serve.
 //!
 //! Connections no shard has accepted yet wait in the kernel backlog,
 //! which is re-armed `max_connections` deep.
@@ -33,10 +27,13 @@
 //! per-connection guard), the connections it owned are lost and the
 //! supervisor respawns it; the replacement re-registers the listeners
 //! and picks up whatever waits in the backlog, so the server keeps
-//! accepting at full width. The panic message is reported through
-//! [`ServeReport::shard_panics`]. Supervisor/stats threads have no
-//! respawn layer — a panic there surfaces as
-//! [`ServeError::ThreadPanicked`] from [`ServerHandle::join`].
+//! accepting at full width. The supervisor blocks on a channel every
+//! shard signals as it exits (on return and on unwind alike), so it
+//! wakes only to respawn or to close the listeners at shutdown. The
+//! panic message is reported through [`ServeReport::shard_panics`].
+//! Supervisor/aggregator threads have no respawn layer — a panic there
+//! surfaces as [`ServeError::ThreadPanicked`] from
+//! [`ServerHandle::join`].
 //!
 //! # Drain
 //!
@@ -47,11 +44,9 @@
 //! stragglers are force-closed and recorded as timed out.
 
 use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
-use crate::reactor::{conn_interest, Backoff, Event, Interest, Poller, TimerWheel};
+use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller, TimerWheel};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
-use crate::{
-    Admission, ChaosConfig, Engine, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot,
-};
+use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
 use honeypot::shell::{NullStore, RemoteStore};
 use honeypot::{
     panic_message, AuthPolicy, Collector, CollectorError, IngestStats, SessionRecord, SessionSink,
@@ -62,6 +57,7 @@ use sessiondb::{RecoveryReport, StoreOptions, StoreWriter};
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -188,6 +184,9 @@ impl Server {
         if cfg.ssh_port.is_none() && cfg.telnet_port.is_none() {
             return Err(ServeError::NoListeners);
         }
+        // The aggregator's poller, made first: a host without a
+        // readiness API has nothing to serve with.
+        let poller = Poller::new().map_err(|source| ServeError::Poller { source })?;
 
         let mut recovery = None;
         let sink: Box<dyn SessionSink> = match &cfg.store_dir {
@@ -211,15 +210,8 @@ impl Server {
         let mut addrs = ListenAddrs::default();
         for (port, proto) in [(cfg.ssh_port, Proto::Ssh), (cfg.telnet_port, Proto::Telnet)] {
             let Some(port) = port else { continue };
-            let addr = SocketAddr::new(cfg.bind, port);
-            let bind_err = |source| ServeError::Bind {
-                addr: addr.to_string(),
-                source,
-            };
-            let socket = TcpListener::bind(addr).map_err(bind_err)?;
-            socket.set_nonblocking(true).map_err(bind_err)?;
+            let (socket, local) = bind(SocketAddr::new(cfg.bind, port))?;
             deepen_backlog(&socket, cfg.max_connections);
-            let local = socket.local_addr().map_err(bind_err)?;
             match proto {
                 Proto::Ssh => addrs.ssh = Some(local),
                 Proto::Telnet => addrs.telnet = Some(local),
@@ -227,46 +219,34 @@ impl Server {
             listeners.push(Listener { socket, proto });
         }
         let listeners: Arc<[Listener]> = listeners.into();
-
-        // Fall back to the polled engine where no readiness API exists.
-        let engine = if crate::reactor::poller_supported() {
-            cfg.engine
-        } else {
-            Engine::Polled
+        let http = match cfg.http_port {
+            Some(port) => {
+                let (socket, local) = bind(SocketAddr::new(cfg.bind, port))?;
+                addrs.http = Some(local);
+                Some(socket)
+            }
+            None => None,
         };
 
         let stats = Arc::new(ServeStats::default());
         let gate = Arc::new(Gate::new(cfg.max_connections, cfg.per_ip_limit));
         let shutdown = Arc::new(AtomicBool::new(false));
 
-        // The aggregator replaces the old dedicated stats thread: it
-        // owns the periodic stderr line *and* publishes the lock-free
-        // snapshots the HTTP plane reads. Shards feed it cloned records
-        // over its channel, which it drains in batches.
+        // The aggregator owns the periodic stderr line, publishes the
+        // lock-free snapshots, and serves the HTTP plane from its
+        // poller. Shards feed it cloned records over its channel, which
+        // it drains in batches.
         let aggregator = spawn_aggregator(
             Arc::clone(&stats),
             Arc::clone(&shutdown),
             cfg.recent_tail,
             cfg.stats_interval,
+            poller,
+            http,
         );
         if let Some(report) = &recovery {
             let _ = aggregator.tx.send(AggEvent::Recovery(report.clone()));
         }
-        let http = match cfg.http_port {
-            Some(port) => {
-                let handle = crate::http::start(
-                    cfg.bind,
-                    port,
-                    cfg.http_workers,
-                    Arc::clone(&aggregator.cell),
-                    Arc::clone(&aggregator.bus),
-                    Arc::clone(&shutdown),
-                )?;
-                addrs.http = Some(handle.addr);
-                Some(handle)
-            }
-            None => None,
-        };
 
         let ctx = ShardCtx {
             remote,
@@ -292,7 +272,7 @@ impl Server {
             let panics = Arc::clone(&shard_panics);
             std::thread::Builder::new()
                 .name("shard-supervisor".into())
-                .spawn(move || supervisor_loop(ctx, engine, workers, listeners, &panics))
+                .spawn(move || supervisor_loop(ctx, workers, listeners, &panics))
                 .expect("spawn shard supervisor")
         };
 
@@ -306,9 +286,20 @@ impl Server {
             supervisor: Some(supervisor),
             shard_panics,
             aggregator: Some(aggregator),
-            http,
         })
     }
+}
+
+/// Binds a nonblocking listener; returns it with its resolved address.
+fn bind(addr: SocketAddr) -> Result<(TcpListener, SocketAddr), ServeError> {
+    let bind_err = |source| ServeError::Bind {
+        addr: addr.to_string(),
+        source,
+    };
+    let socket = TcpListener::bind(addr).map_err(bind_err)?;
+    socket.set_nonblocking(true).map_err(bind_err)?;
+    let local = socket.local_addr().map_err(bind_err)?;
+    Ok((socket, local))
 }
 
 /// Bound listener addresses (with ephemeral ports resolved).
@@ -420,7 +411,6 @@ pub struct ServerHandle {
     supervisor: Option<JoinHandle<()>>,
     shard_panics: Arc<parking_lot::Mutex<Vec<String>>>,
     aggregator: Option<AggregatorHandle>,
-    http: Option<crate::http::HttpHandle>,
 }
 
 impl ServerHandle {
@@ -463,7 +453,7 @@ impl ServerHandle {
 
     /// Triggers shutdown (idempotent), waits for every thread, seals the
     /// store, and returns the final accounting. A panic in the
-    /// supervisor/stats/HTTP threads surfaces as
+    /// supervisor or aggregator thread surfaces as
     /// [`ServeError::ThreadPanicked`] — after the store is sealed, so a
     /// sick run still keeps its data.
     pub fn join(mut self) -> Result<ServeReport, ServeError> {
@@ -482,17 +472,10 @@ impl ServerHandle {
         }
         // All shard senders are gone once the supervisor returns, so
         // dropping the handle's sender disconnects the aggregator; it
-        // publishes a final snapshot covering every ingested session and
-        // exits.
+        // publishes a final snapshot covering every ingested session,
+        // closes the dashboard sockets left open, and exits.
         if let Some(agg) = self.aggregator.take() {
             note_panic("serve-aggregator", agg.join());
-        }
-        if let Some(http) = self.http.take() {
-            if let Err((thread, message)) = http.join() {
-                if thread_panic.is_none() {
-                    thread_panic = Some((thread, message));
-                }
-            }
         }
         let collector = self.collector.take().expect("join called once");
         let collector = Collector::try_from_arc(collector).map_err(|e| ServeError::Collector {
@@ -524,12 +507,6 @@ fn map_collector_error(e: &CollectorError) -> ServeError {
     }
 }
 
-#[cfg(unix)]
-fn listener_fd(listener: &TcpListener) -> i32 {
-    use std::os::unix::io::AsRawFd;
-    listener.as_raw_fd()
-}
-
 /// Re-arms the listener with a backlog sized to the connection cap.
 /// `TcpListener::bind` hardcodes a backlog of 128; under a paper-scale
 /// connect burst the accept queue overflows and every further SYN waits
@@ -545,7 +522,7 @@ fn deepen_backlog(listener: &TcpListener, max_connections: usize) {
     }
     let backlog = max_connections.clamp(128, 65_535) as i32;
     unsafe {
-        let _ = listen(listener_fd(listener), backlog);
+        let _ = listen(sock_fd(listener), backlog);
     }
 }
 
@@ -553,12 +530,16 @@ fn deepen_backlog(listener: &TcpListener, max_connections: usize) {
 fn deepen_backlog(_listener: &TcpListener, _max_connections: usize) {}
 
 /// Most connections one readiness event accepts from a listener before
-/// the shard goes back to its own sockets; the rest stay in the backlog,
-/// and the listener stays readable.
-const ACCEPT_BATCH: usize = 64;
+/// the shard (or the HTTP plane) goes back to its own sockets; the rest
+/// stay in the backlog, and the listener stays readable.
+pub(crate) const ACCEPT_BATCH: usize = 64;
 
 /// Longest accept pause after descriptor exhaustion.
 const MAX_ACCEPT_PAUSE: Duration = Duration::from_millis(200);
+
+/// Longest a shard or the supervisor waits before it looks at the
+/// shutdown flag again.
+const WAIT_CEILING: Duration = Duration::from_millis(50);
 
 /// Listener `k` registers under `LISTENER_TOKEN + k`; slot indices count
 /// up from 0 and never get near it.
@@ -681,36 +662,45 @@ impl Acceptor {
         }
         false
     }
+}
 
-    /// Accepts from every listener in turn: the polled engine's intake.
-    fn accept_all(&mut self, ctx: &ShardCtx, mut intake: impl FnMut(Admitted)) {
-        self.resume(Instant::now());
-        for k in 0..self.listeners().len() {
-            if self.accept(k, ctx, &mut intake) {
-                return;
-            }
-        }
+/// Sends its shard's index to the supervisor when dropped, which a
+/// shard thread does on return and on unwind alike.
+struct ExitSignal {
+    index: usize,
+    tx: Sender<usize>,
+}
+
+impl Drop for ExitSignal {
+    fn drop(&mut self) {
+        let _ = self.tx.send(self.index);
     }
 }
 
 /// Runs the shard pool, respawning any shard thread that panics; the
 /// replacement re-registers the listeners and takes over from the
-/// backlog. Drops its own handle on the listeners once shutdown is
-/// triggered, and returns once every shard has drained and exited.
+/// backlog. Blocks on the shards' exit signals, waking at least every
+/// [`WAIT_CEILING`] to drop its own handle on the listeners once
+/// shutdown is triggered; returns once every shard has drained and
+/// exited.
 fn supervisor_loop(
     ctx: ShardCtx,
-    engine: Engine,
     workers: usize,
     listeners: Arc<[Listener]>,
     shard_panics: &parking_lot::Mutex<Vec<String>>,
 ) {
+    let (exit_tx, exits) = mpsc::channel();
     let spawn_shard = |index: usize, generation: u64, listeners: Arc<[Listener]>| {
         let ctx = ctx.clone();
+        let exit = ExitSignal {
+            index,
+            tx: exit_tx.clone(),
+        };
         std::thread::Builder::new()
             .name(format!("shard-{index}"))
-            .spawn(move || match engine {
-                Engine::Reactor => shard_loop_reactor(index, generation, listeners, &ctx),
-                Engine::Polled => shard_loop_polled(index, generation, listeners, &ctx),
+            .spawn(move || {
+                let _exit = exit;
+                shard_loop(index, generation, listeners, &ctx);
             })
             .expect("spawn shard")
     };
@@ -718,42 +708,33 @@ fn supervisor_loop(
     let mut handles: Vec<Option<JoinHandle<()>>> = (0..workers)
         .map(|i| Some(spawn_shard(i, 0, Arc::clone(&listeners))))
         .collect();
+    let mut alive = workers;
     let mut listeners = Some(listeners);
-    let mut wait = Backoff::new(Duration::from_millis(2));
-    loop {
+    while alive > 0 {
+        let exited = exits.recv_timeout(WAIT_CEILING);
         if ctx.shutdown.load(Ordering::Relaxed) {
             listeners = None;
         }
-        let mut any_alive = false;
-        for (index, slot) in handles.iter_mut().enumerate() {
-            let finished = slot.as_ref().is_some_and(JoinHandle::is_finished);
-            if !finished {
-                any_alive |= slot.is_some();
-                continue;
-            }
-            let handle = slot.take().expect("finished handle present");
-            if let Err(payload) = handle.join() {
-                let message = panic_message(payload.as_ref());
-                shard_panics
-                    .lock()
-                    .push(format!("shard-{index}: {message}"));
-                if let Some(listeners) = &listeners {
-                    // Respawn with a bumped generation (the chaos
-                    // injectors are reseeded, so a deterministic
-                    // injected panic does not immediately re-fire).
-                    ctx.stats.shards_respawned.fetch_add(1, Ordering::Relaxed);
-                    generation += 1;
-                    *slot = Some(spawn_shard(index, generation, Arc::clone(listeners)));
-                    any_alive = true;
-                    wait.reset();
-                }
-            }
-            // A clean exit is final: it means shutdown drained the shard.
+        let Ok(index) = exited else { continue };
+        let handle = handles[index].take().expect("a shard exits once");
+        alive -= 1;
+        // A clean exit is final: it means shutdown drained the shard.
+        let Err(payload) = handle.join() else {
+            continue;
+        };
+        let message = panic_message(payload.as_ref());
+        shard_panics
+            .lock()
+            .push(format!("shard-{index}: {message}"));
+        if let Some(listeners) = &listeners {
+            // Respawn with a bumped generation (the chaos injectors are
+            // reseeded, so a deterministic injected panic does not
+            // immediately re-fire).
+            ctx.stats.shards_respawned.fetch_add(1, Ordering::Relaxed);
+            generation += 1;
+            handles[index] = Some(spawn_shard(index, generation, Arc::clone(listeners)));
+            alive += 1;
         }
-        if !any_alive {
-            return;
-        }
-        wait.wait();
     }
 }
 
@@ -790,84 +771,6 @@ fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn RemoteStore) -> Conn<'s> {
     }
 }
 
-/// One polled worker shard: owns its connections, scans them without
-/// blocking. The baseline engine. Each connection's pump runs under
-/// `catch_unwind`, so one poisoned session cannot take the shard (or
-/// its siblings' gate slots) with it.
-fn shard_loop_polled(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
-    let remote_ref: &dyn RemoteStore = &*ctx.remote;
-    let (mut conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
-    let mut acceptor = Acceptor::new(listeners, shard_chaos);
-    // `doomed` marks connections the chaos config sentenced at intake;
-    // the panic fires inside the per-connection guard.
-    let mut conns: Vec<(Conn<'_>, bool)> = Vec::new();
-    let mut drain_started: Option<Instant> = None;
-    let mut nap = Backoff::new(Duration::from_millis(1));
-
-    loop {
-        // Intake: accept straight into this shard's connection list.
-        let owned = conns.len();
-        acceptor.accept_all(ctx, |a| {
-            let doomed = conn_chaos.fires();
-            conns.push((build_conn(a, remote_ref), doomed));
-        });
-        let took_any = conns.len() > owned;
-
-        // Drain policy: once shutdown is triggered, stop accepting and
-        // keep pumping in-flight sessions for at most `drain_timeout`,
-        // then force-close the rest.
-        if ctx.shutdown.load(Ordering::Relaxed) && drain_started.is_none() {
-            drain_started = Some(Instant::now());
-            acceptor.listeners = None;
-        }
-        let force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
-
-        let now = Instant::now();
-        let mut finished_any = false;
-        let mut i = 0;
-        while i < conns.len() {
-            let pumped = {
-                let (conn, doomed) = &mut conns[i];
-                if force_close {
-                    conn.abort();
-                }
-                catch_unwind(AssertUnwindSafe(|| {
-                    if *doomed {
-                        panic!("chaos: injected connection panic");
-                    }
-                    force_close || conn.pump(now, ctx.idle_timeout, ctx.session_timeout, &ctx.stats)
-                }))
-            };
-            match pumped {
-                Ok(false) => i += 1,
-                Ok(true) => {
-                    finished_any = true;
-                    let (conn, _) = conns.swap_remove(i);
-                    ctx.record_finished(conn);
-                }
-                Err(_payload) => {
-                    // Contained: record a failed session from plain
-                    // fields only (the machine may be poisoned), release
-                    // the slot via the permit, keep the shard alive.
-                    finished_any = true;
-                    let (conn, _) = conns.swap_remove(i);
-                    ctx.record_failed(conn);
-                }
-            }
-        }
-
-        if conns.is_empty() && drain_started.is_some() {
-            return; // drained, and no longer accepting
-        }
-        if took_any || finished_any {
-            nap.reset();
-        }
-        // Adaptive yield between scan rounds; the pump loop itself runs
-        // until it stops making progress.
-        nap.wait();
-    }
-}
-
 /// A connection slot in a reactor shard. `generation` invalidates
 /// stale timer-wheel entries after the slot is reused.
 struct ShardSlot<'s> {
@@ -898,13 +801,28 @@ struct Reactor<'s> {
     out_pool: Vec<Vec<u8>>,
 }
 
-#[cfg(unix)]
 impl<'s> Reactor<'s> {
+    /// An empty shard table on a fresh poller that watches `listeners`.
+    fn new(listeners: &[Listener]) -> std::io::Result<Self> {
+        let mut r = Reactor {
+            poller: Poller::new()?,
+            slots: Vec::new(),
+            free: Vec::new(),
+            live: 0,
+            slot_gen: 0,
+            wheel: TimerWheel::new(256, Duration::from_millis(100), Instant::now()),
+            read_buf: vec![0u8; 16 * 1024],
+            out_pool: Vec::new(),
+        };
+        r.arm(listeners)?;
+        Ok(r)
+    }
+
     /// Registers every listener for exclusive read interest.
     fn arm(&mut self, listeners: &[Listener]) -> std::io::Result<()> {
         for (k, l) in listeners.iter().enumerate() {
             self.poller
-                .register_exclusive(listener_fd(&l.socket), LISTENER_TOKEN + k as u64)?;
+                .register_exclusive(sock_fd(&l.socket), LISTENER_TOKEN + k as u64)?;
         }
         Ok(())
     }
@@ -912,7 +830,7 @@ impl<'s> Reactor<'s> {
     /// Stops watching the listeners.
     fn disarm(&mut self, listeners: &[Listener]) {
         for l in listeners {
-            let _ = self.poller.deregister(listener_fd(&l.socket));
+            let _ = self.poller.deregister(sock_fd(&l.socket));
         }
     }
 
@@ -1013,32 +931,28 @@ impl<'s> Reactor<'s> {
     }
 }
 
-/// One reactor worker shard: readiness-driven. The listeners and the
-/// shard's own connections share one poller; connections are pumped
-/// when their socket is ready or their timer-wheel deadline fires —
-/// never scanned. Crash containment is identical to the polled engine:
-/// per-connection `catch_unwind`, shard-level chaos at intake.
-#[cfg(unix)]
-fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
-    // No readiness API after all (fd exhaustion at spawn): degrade to
-    // the polled engine rather than dying.
-    let Ok(poller) = Poller::new() else {
-        return shard_loop_polled(index, generation, listeners, ctx);
+/// One worker shard: readiness-driven. The listeners and the shard's
+/// own connections share one poller; connections are pumped when their
+/// socket is ready or their timer-wheel deadline fires — never scanned.
+/// Crash containment: per-connection `catch_unwind`, shard-level chaos
+/// at intake.
+fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
+    // Descriptor exhaustion can refuse the poller or a registration.
+    // The shard owns no connection yet, so waiting blocks nobody: back
+    // off like the acceptor and try again, unless shutdown comes first.
+    let mut pause = Duration::from_millis(1);
+    let mut r = loop {
+        if ctx.shutdown.load(Ordering::Relaxed) {
+            return;
+        }
+        match Reactor::new(&listeners) {
+            Ok(r) => break r,
+            Err(_) => {
+                std::thread::sleep(pause);
+                pause = (pause * 2).min(MAX_ACCEPT_PAUSE);
+            }
+        }
     };
-    let mut r = Reactor {
-        poller,
-        slots: Vec::new(),
-        free: Vec::new(),
-        live: 0,
-        slot_gen: 0,
-        wheel: TimerWheel::new(256, Duration::from_millis(100), Instant::now()),
-        read_buf: vec![0u8; 16 * 1024],
-        out_pool: Vec::new(),
-    };
-    if r.arm(&listeners).is_err() {
-        drop(r);
-        return shard_loop_polled(index, generation, listeners, ctx);
-    }
     let remote_ref: &dyn RemoteStore = &*ctx.remote;
     let (mut conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
     let mut acceptor = Acceptor::new(listeners, shard_chaos);
@@ -1047,9 +961,11 @@ fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>,
     let mut drain_started: Option<Instant> = None;
 
     loop {
-        // Drain policy: identical to the polled engine. Letting go of
-        // the listeners here is what closes them once every shard and
-        // the supervisor have done the same.
+        // Drain policy: once shutdown is triggered, stop accepting and
+        // keep pumping in-flight sessions for at most `drain_timeout`,
+        // then force-close the rest. Letting go of the listeners here is
+        // what closes them once every shard and the supervisor have done
+        // the same.
         if ctx.shutdown.load(Ordering::Relaxed) && drain_started.is_none() {
             drain_started = Some(Instant::now());
             if let Some(listeners) = acceptor.listeners.take() {
@@ -1059,7 +975,7 @@ fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>,
         let force_close = matches!(drain_started, Some(t0) if t0.elapsed() >= ctx.drain_timeout);
         if force_close && r.live > 0 {
             // Sweep every in-flight connection closed (recorded as
-            // timed out), exactly like the polled engine's final round.
+            // timed out).
             let now = Instant::now();
             for i in 0..r.slots.len() {
                 r.pump(i, true, now, ctx);
@@ -1079,7 +995,7 @@ fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>,
         let mut timeout = if drain_started.is_some() {
             Duration::from_millis(10)
         } else {
-            Duration::from_millis(50)
+            WAIT_CEILING
         };
         if let Some(until) = acceptor.paused_until {
             timeout = timeout.min(until.saturating_duration_since(now));
@@ -1127,12 +1043,6 @@ fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>,
             }
         }
     }
-}
-
-/// Without a readiness API the reactor engine is the polled one.
-#[cfg(not(unix))]
-fn shard_loop_reactor(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
-    shard_loop_polled(index, generation, listeners, ctx)
 }
 
 #[cfg(test)]

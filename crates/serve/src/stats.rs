@@ -6,9 +6,10 @@
 //! them into the *same* `honeylab-core` accumulators the post-hoc
 //! `analyze` pipeline runs, and periodically publishes an immutable
 //! [`ApiSnapshot`] through
-//! a [`broadcast::SnapshotCell`]. HTTP workers render endpoints from
-//! whatever snapshot is current — they never touch the accumulators, a
-//! lock, or any serving thread's state.
+//! a [`crate::broadcast::SnapshotCell`]. The same thread serves the
+//! HTTP plane (`http::HttpPlane`): it waits on the plane's poller between
+//! drains, and endpoints render from whatever snapshot is current —
+//! never from the accumulators, a lock, or any serving thread's state.
 //!
 //! Because the taxonomy and credential accumulators are the identical
 //! types `core::AnalysisBuilder` composes, `/api/stats` totals over a
@@ -23,6 +24,8 @@
 
 use crate::broadcast::{EventBus, SnapshotCell, SnapshotPublisher};
 use crate::conn::now_unix;
+use crate::http::HttpPlane;
+use crate::reactor::Poller;
 use crate::{ServeStats, StatsSnapshot};
 use honeylab_core::logins::{TopPasswords, TopPasswordsAccumulator};
 use honeylab_core::taxonomy::{SessionClass, TaxonomyAccumulator, TaxonomyStats};
@@ -30,6 +33,7 @@ use honeypot::{Protocol, SessionEndReason, SessionRecord};
 use hutil::{api_envelope, Json};
 use sessiondb::RecoveryReport;
 use std::collections::VecDeque;
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::Arc;
@@ -42,7 +46,8 @@ pub const TOP_CREDENTIALS: usize = 10;
 /// Publish cadence of the snapshot cell.
 pub const PUBLISH_TICK: Duration = Duration::from_millis(250);
 
-/// How long the aggregator sleeps between passes over its channel.
+/// Longest the aggregator waits on its poller between passes over its
+/// channel.
 const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Events the serving layer feeds the aggregator. Senders are cheap
@@ -660,7 +665,7 @@ pub struct AggregatorHandle {
     /// Event intake; clone one per shard. Dropping every sender stops
     /// the thread (after a final publish).
     pub tx: Sender<AggEvent>,
-    /// The snapshot cell HTTP workers read.
+    /// The snapshot cell the HTTP plane renders from.
     pub cell: Arc<SnapshotCell<ApiSnapshot>>,
     /// The SSE fan-out bus.
     pub bus: Arc<EventBus>,
@@ -675,7 +680,8 @@ impl AggregatorHandle {
     }
 }
 
-/// Spawns the aggregator thread.
+/// Spawns the aggregator thread, which waits on `poller` and serves the
+/// HTTP plane on `http` (a bound, nonblocking listener), if any.
 ///
 /// `stats_interval` preserves the legacy periodic stderr stats line
 /// (the aggregator replaces the old dedicated stats thread); `None`
@@ -685,12 +691,15 @@ pub fn spawn_aggregator(
     shutdown: Arc<AtomicBool>,
     recent_cap: usize,
     stats_interval: Option<Duration>,
+    poller: Poller,
+    http: Option<TcpListener>,
 ) -> AggregatorHandle {
     let (tx, rx) = std::sync::mpsc::channel::<AggEvent>();
     let now = now_unix();
     let (cell, publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::empty(now)));
     let bus = Arc::new(EventBus::new());
     let thread = {
+        let plane = HttpPlane::new(poller, http, Arc::clone(&cell), Arc::clone(&bus));
         let bus = Arc::clone(&bus);
         std::thread::Builder::new()
             .name("serve-aggregator".into())
@@ -698,6 +707,7 @@ pub fn spawn_aggregator(
                 aggregator_loop(
                     &rx,
                     publisher,
+                    plane,
                     &bus,
                     &stats,
                     &shutdown,
@@ -715,9 +725,11 @@ pub fn spawn_aggregator(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn aggregator_loop(
     rx: &Receiver<AggEvent>,
     mut publisher: SnapshotPublisher<ApiSnapshot>,
+    mut plane: HttpPlane,
     bus: &EventBus,
     stats: &ServeStats,
     shutdown: &AtomicBool,
@@ -737,8 +749,14 @@ fn aggregator_loop(
     let mut last_publish = Instant::now();
     let mut last_line = Instant::now();
     loop {
+        // Block until a dashboard socket is ready or the drain tick
+        // passes (without an HTTP listener the poller is empty and this
+        // is a plain sleep), then answer the ready sockets.
+        plane.wait(DRAIN_TICK);
+        plane.serve_ready();
         // Drain whatever the shards queued since the last pass. The
         // receiver never blocks, so a shard's send never has to wake it.
+        let mut framed = false;
         let disconnected = loop {
             match rx.try_recv() {
                 Ok(AggEvent::Session(rec)) => {
@@ -750,6 +768,7 @@ fn aggregator_loop(
                             "session",
                             &session_event_json(&summary).render(),
                         ));
+                        framed = true;
                     }
                 }
                 Ok(AggEvent::Recovery(report)) => {
@@ -758,6 +777,7 @@ fn aggregator_loop(
                         &recovery_event_json(&report).render(),
                     ));
                     state.set_recovery(report);
+                    framed = true;
                 }
                 Err(TryRecvError::Empty) => break false,
                 Err(TryRecvError::Disconnected) => break true,
@@ -765,6 +785,7 @@ fn aggregator_loop(
         };
         if shutdown.load(Ordering::Relaxed) {
             state.set_shutting_down();
+            plane.drain();
         }
         if disconnected || last_publish.elapsed() >= PUBLISH_TICK {
             last_publish = Instant::now();
@@ -776,6 +797,11 @@ fn aggregator_loop(
                 dropped_frames: bus.dropped_frames(),
             };
             publisher.publish(Arc::new(state.snapshot(now, counters, sse)));
+            plane.sweep(last_publish);
+        }
+        // Frames rendered in this pass leave in this pass.
+        if framed {
+            plane.pump_streams();
         }
         if let Some(interval) = stats_interval {
             if last_line.elapsed() >= interval {
@@ -784,9 +810,10 @@ fn aggregator_loop(
             }
         }
         if disconnected {
-            return; // final snapshot above covers every ingested session
+            // The final snapshot above covers every ingested session;
+            // dropping the plane closes whatever dashboard sockets remain.
+            return;
         }
-        std::thread::sleep(DRAIN_TICK);
     }
 }
 
@@ -947,7 +974,14 @@ mod tests {
     fn aggregator_thread_publishes_and_exits() {
         let stats = Arc::new(ServeStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = spawn_aggregator(Arc::clone(&stats), shutdown, 8, None);
+        let handle = spawn_aggregator(
+            Arc::clone(&stats),
+            shutdown,
+            8,
+            None,
+            Poller::new().unwrap(),
+            None,
+        );
         let sub = handle.bus.subscribe();
         handle
             .tx
@@ -967,7 +1001,14 @@ mod tests {
     fn sessions_folded_without_subscribers_count_and_later_ones_stream() {
         let stats = Arc::new(ServeStats::default());
         let shutdown = Arc::new(AtomicBool::new(false));
-        let handle = spawn_aggregator(Arc::clone(&stats), shutdown, 8, None);
+        let handle = spawn_aggregator(
+            Arc::clone(&stats),
+            shutdown,
+            8,
+            None,
+            Poller::new().unwrap(),
+            None,
+        );
         let send = |id: u64| {
             handle
                 .tx

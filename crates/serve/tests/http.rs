@@ -370,3 +370,47 @@ fn polling_dashboard_causes_zero_shed_under_200_clients() {
     assert_eq!(w1h.shed, 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A dashboard peer cannot hold the server open: one that pipelines
+/// 50,000 requests and stops reading is closed by the drain, and `join`
+/// returns while the peer still holds its end.
+#[test]
+fn a_peer_that_never_reads_cannot_hold_the_server_open() {
+    let cfg = ServeConfig {
+        workers: 1,
+        http_port: Some(0),
+        stats_interval: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg).expect("start");
+    let http = handle.addrs().http.expect("http addr");
+    let mut peer = TcpStream::connect(http).expect("http connect");
+    let mut first = peer.try_clone().expect("clone peer");
+    let writer = std::thread::spawn(move || {
+        let pipeline = b"GET /api/stats HTTP/1.1\r\nHost: test\r\n\r\n".repeat(50_000);
+        // Blocks once the server stops reading; fails once it closes.
+        let _ = peer.write_all(&pipeline);
+        peer
+    });
+    // One byte of the first response shows the server is answering
+    // this peer; after it the peer never reads again.
+    first
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    first.read_exact(&mut [0u8; 1]).expect("the server answers");
+
+    handle.trigger_shutdown();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let joiner = std::thread::spawn(move || {
+        let _ = done_tx.send(handle.join());
+    });
+    let report = done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("join returned within 10 s of the drain request")
+        .expect("join");
+    joiner.join().expect("joiner thread");
+    assert_eq!(report.snapshot.completed, 0);
+    assert_eq!(report.snapshot.panics_caught, 0);
+    let peer = writer.join().expect("writer thread");
+    drop((peer, first));
+}

@@ -2,7 +2,7 @@
 //! [`serve::Server`], with the resulting store read back through
 //! `sessiondb`.
 
-use serve::{fold_peer_ip, ChaosConfig, Engine, Gate, ServeConfig, ServeStats, Server};
+use serve::{fold_peer_ip, ChaosConfig, Gate, ServeConfig, ServeStats, Server};
 use sshwire::{ClientScript, SshClient};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -641,38 +641,4 @@ fn stalled_connection_cannot_block_siblings() {
     }
     assert_eq!(handle.active(), 0, "staller's slot came home after close");
     handle.join().expect("join");
-}
-
-/// The legacy polling engine stays a first-class citizen (it is the
-/// bench baseline and the fallback on platforms without epoll/poll):
-/// full round-trip through `--engine polled`.
-#[test]
-fn polled_engine_still_serves_sessions() {
-    let cfg = ServeConfig {
-        workers: 2,
-        engine: Engine::Polled,
-        stats_interval: None,
-        ..ServeConfig::default()
-    };
-    let handle = Server::start(cfg).expect("start");
-    let addr = handle.addrs().ssh.expect("ssh addr");
-    let n = 6u64;
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            scope.spawn(move || {
-                let script = ClientScript::new("root", &["admin"], &[&format!("echo polled-{i}")]);
-                drive_ssh(addr, script);
-            });
-        }
-    });
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while handle.stats().completed < n && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    let report = handle.join().expect("join");
-    assert_eq!(report.snapshot.completed, n);
-    assert_eq!(
-        report.snapshot.shed_capacity + report.snapshot.shed_per_ip,
-        0
-    );
 }

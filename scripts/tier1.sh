@@ -164,7 +164,7 @@ if [ "$live_tax" != "$batch_tax" ]; then
 fi
 rm -rf "$bar_dir"
 
-echo "== tier1: serve bench smoke (reactor + polled, zero shed) =="
+echo "== tier1: serve bench smoke (reactor shards, zero shed) =="
 cargo bench -p honeylab-bench --bench serve -- --smoke
 
 echo "== tier1: honeybench (metric-name drift guard, tiny replay) =="

@@ -38,7 +38,7 @@ use honeylab::core::{report, AnalysisBuilder, AnalysisReport, ReportKind, Sessio
 use honeylab::honeypot::to_cowrie_log;
 use honeylab::prelude::*;
 use honeylab::serve::barrage::{self, BarrageConfig, BarrageReport, LoadMode};
-use honeylab::serve::{signal, Engine, ServeConfig, Server};
+use honeylab::serve::{signal, ServeConfig, Server};
 use honeylab::sessiondb::{
     is_sessiondb_path, needs_recovery, recover, recovery_preview, FsyncPolicy, Store, StoreWriter,
 };
@@ -83,15 +83,13 @@ fn main() {
                  \x20                                        1 = serial; output identical at any N)\n\
                  serve                                    serve the honeypot over live TCP sockets\n\
                  \x20        [--ssh-port N] [--telnet-port N] listeners (0 = ephemeral; default ssh 2222)\n\
-                 \x20        [--http-port N] [--http-workers N] observability HTTP plane: /api/stats,\n\
+                 \x20        [--http-port N]                 observability HTTP plane: /api/stats,\n\
                  \x20                                        /api/sessions/recent, /api/credentials/top,\n\
                  \x20                                        /api/health, /events (SSE); off by default\n\
                  \x20        [--recent-tail N]               sessions kept for /api/sessions/recent (default 64)\n\
                  \x20        [--bind ADDR] [--store DIR]     bind address; spill sessions to a sessiondb store\n\
                  \x20        [--max-conns N] [--per-ip N]    admission limits (shed at accept time)\n\
                  \x20        [--workers N]                   worker shards (default: CPU count)\n\
-                 \x20        [--engine reactor|polled]       shard engine: epoll reactor (default) or the\n\
-                 \x20                                        legacy polling loop (bench baseline)\n\
                  \x20        [--idle-secs N] [--session-secs N] [--drain-secs N] [--stats-secs N]\n\
                  \x20        [--fsync-every N]               WAL fsync cadence: 1 = every record (default),\n\
                  \x20                                        N>1 = every N records, 0 = never (OS page cache only)\n\
@@ -272,19 +270,6 @@ fn report_names() -> String {
     names.join(", ")
 }
 
-/// Deprecated per-report flags from the pre-builder CLI; accepted (with a
-/// warning) but hidden from the usage text. Removal window: these aliases
-/// are frozen with honeylab-api v1 and will be removed together with the
-/// first v2 release (see README "Deprecations").
-const DEPRECATED_REPORT_FLAGS: [&str; 6] = [
-    "--taxonomy",
-    "--categories",
-    "--passwords",
-    "--probes",
-    "--downloads",
-    "--mdrfckr",
-];
-
 /// How `analyze` prints its result.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum OutputFormat {
@@ -299,11 +284,6 @@ fn cmd_analyze(args: &[String]) -> i32 {
     let mut threads = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let select = |reports: &mut Vec<ReportKind>, k: ReportKind| {
-        if !reports.contains(&k) {
-            reports.push(k);
-        }
-    };
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
@@ -314,7 +294,8 @@ fn cmd_analyze(args: &[String]) -> i32 {
                 return 2;
             };
             match ReportKind::parse(name) {
-                Some(k) => select(&mut reports, k),
+                Some(k) if reports.contains(&k) => {}
+                Some(k) => reports.push(k),
                 None => {
                     eprintln!(
                         "unknown report '{name}' (expected one of: {})",
@@ -345,14 +326,6 @@ fn cmd_analyze(args: &[String]) -> i32 {
                     return 2;
                 }
             }
-        } else if DEPRECATED_REPORT_FLAGS.contains(&arg) {
-            let name = &arg[2..];
-            eprintln!(
-                "warning: {arg} is deprecated and will be removed with honeylab-api v2; \
-                 use --report {name}"
-            );
-            let k = ReportKind::parse(name).expect("alias names mirror report names");
-            select(&mut reports, k);
         } else if !arg.starts_with("--") && path.is_none() {
             path = Some(arg);
         } else {
@@ -609,16 +582,7 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, i32> {
     if let Some(n) = parse_flag(args, "--workers")? {
         cfg.workers = n;
     }
-    if let Some(s) = flag(args, "--engine") {
-        cfg.engine = Engine::parse(&s).ok_or_else(|| {
-            eprintln!("invalid --engine '{s}' (expected reactor or polled)");
-            2
-        })?;
-    }
     cfg.http_port = parse_flag(args, "--http-port")?;
-    if let Some(n) = parse_flag(args, "--http-workers")? {
-        cfg.http_workers = n;
-    }
     if let Some(n) = parse_flag(args, "--recent-tail")? {
         cfg.recent_tail = n;
     }

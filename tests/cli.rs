@@ -282,3 +282,14 @@ fn analyze_rejects_garbage() {
     assert_eq!(out.status.code(), Some(1));
     std::fs::remove_file(&bad).ok();
 }
+
+#[test]
+fn analyze_rejects_removed_report_aliases() {
+    let out = honeylab()
+        .args(["analyze", "x", "--taxonomy"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown analyze option '--taxonomy'"), "{err}");
+}
