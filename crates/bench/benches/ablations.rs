@@ -5,10 +5,8 @@
 //! 3. k-medoids cost across k;
 //! 4. regex-engine fast paths on Table 1 workloads.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use honeylab_bench::dataset;
+use honeylab_bench::{dataset, Bench};
 use honeylab_core::{cluster, dld, report, tokens};
-use std::hint::black_box;
 
 /// Two sessions with identical behaviour but churned IPs/filenames.
 const A: &str =
@@ -18,7 +16,7 @@ const B: &str =
 /// A genuinely different behaviour.
 const C: &str = "echo $SHELL; dd if=/proc/self/exe bs=22 count=1";
 
-fn ablation_token_vs_char_dld(c: &mut Criterion) {
+fn ablation_token_vs_char_dld(bench: &mut Bench) {
     // Token-level distance sees churned sessions as near-identical; the
     // char-level distance does not — the paper's §6 robustness claim.
     let ta = tokens::tokenize(A);
@@ -37,15 +35,11 @@ fn ablation_token_vs_char_dld(c: &mut Criterion) {
         token_same < token_diff,
         "token distance must separate behaviours"
     );
-    c.bench_function("ablation_token_dld", |b| {
-        b.iter(|| black_box(dld::normalized_dld(&ta, &tb)))
-    });
-    c.bench_function("ablation_char_dld", |b| {
-        b.iter(|| black_box(dld::normalized_dld(&ca, &cb)))
-    });
+    bench.time("ablation_token_dld", 12, || dld::normalized_dld(&ta, &tb));
+    bench.time("ablation_char_dld", 12, || dld::normalized_dld(&ca, &cb));
 }
 
-fn ablation_signature_dedup(c: &mut Criterion) {
+fn ablation_signature_dedup(bench: &mut Bench) {
     // How much does canonicalisation shrink the clustering input?
     let ds = dataset();
     let file_sessions: Vec<String> = report::command_sessions(&ds.sessions)
@@ -64,30 +58,22 @@ fn ablation_signature_dedup(c: &mut Criterion) {
         canon.len()
     );
     assert!(canon.len() <= raw.len());
-    let mut g = c.benchmark_group("ablation_dedup");
-    g.sample_size(10);
-    g.bench_function("signature_pass", |b| {
-        b.iter(|| {
-            let s: std::collections::HashSet<Vec<String>> =
-                file_sessions.iter().map(|t| tokens::signature(t)).collect();
-            black_box(s.len())
-        })
+    bench.time("ablation_dedup/signature_pass", 10, || {
+        let s: std::collections::HashSet<Vec<String>> =
+            file_sessions.iter().map(|t| tokens::signature(t)).collect();
+        s.len()
     });
-    g.finish();
 }
 
-fn ablation_kmedoids_cost(c: &mut Criterion) {
+fn ablation_kmedoids_cost(bench: &mut Bench) {
     let ds = dataset();
     let ca = report::cluster_analysis(&ds.sessions, &ds.abuse, 2, 42);
     let m = cluster::DistanceMatrix::build(&ca.signatures);
-    let mut g = c.benchmark_group("ablation_kmedoids");
-    g.sample_size(10);
     for k in [10usize, 45, 90] {
-        g.bench_function(format!("k{k}"), |b| {
-            b.iter(|| black_box(cluster::k_medoids(&m, &ca.weights, k, 42)))
+        bench.time(format!("ablation_kmedoids/k{k}"), 10, || {
+            cluster::k_medoids(&m, &ca.weights, k, 42)
         });
     }
-    g.finish();
     println!(
         "ablation kmedoids: {} signatures; silhouette(k=90)={:.3}",
         ca.signatures.len(),
@@ -99,7 +85,7 @@ fn ablation_kmedoids_cost(c: &mut Criterion) {
     );
 }
 
-fn ablation_regex_fast_paths(c: &mut Criterion) {
+fn ablation_regex_fast_paths(bench: &mut Bench) {
     // The same conjunction evaluated with and without the line-start
     // shortcut (the slow path is forced via an equivalent pattern whose
     // lookahead bodies don't start with `.*`).
@@ -108,19 +94,18 @@ fn ablation_regex_fast_paths(c: &mut Criterion) {
     let line = "curl https://203.0.113.7/ -s -X GET --max-redirs 5 --cookie 'k=v'";
     let hay = vec![line; 60].join("\n");
     assert_eq!(fast.is_match(&hay), slow.is_match(&hay));
-    c.bench_function("ablation_conjunction_fastpath", |b| {
-        b.iter(|| black_box(fast.is_match(&hay)))
-    });
-    c.bench_function("ablation_conjunction_slowpath", |b| {
-        b.iter(|| black_box(slow.is_match(&hay)))
-    });
+    bench.time("ablation_conjunction_fastpath", 12, || fast.is_match(&hay));
+    bench.time("ablation_conjunction_slowpath", 12, || slow.is_match(&hay));
 }
 
-fn ablation_cluster_purity(c: &mut Criterion) {
-    // Quality ablation: cluster a sample of file sessions on (a) canonical
-    // token signatures and (b) raw character sequences, then score cluster
-    // purity against the Table 1 category as ground truth. The token
-    // representation should dominate — the paper's §6 robustness claim.
+fn ablation_cluster_purity(bench: &mut Bench) {
+    // Quality ablation: cluster the first 300 file sessions on (a)
+    // canonical token signatures and (b) their first 120 characters, then
+    // score cluster purity at k=24 against the Table 1 category. The
+    // sample carries only a handful of Table 1 labels (5 at 1:2000), so
+    // both representations score 1.00 and this cannot show tokens
+    // winning; it pins that they do not lose by more than 0.05. The churn
+    // claim itself is the pairwise check in `ablation_token_vs_char_dld`.
     use honeylab_core::classify::Classifier;
     let ds = dataset();
     let cl = Classifier::table1();
@@ -166,23 +151,20 @@ fn ablation_cluster_purity(c: &mut Criterion) {
         tp >= cp - 0.05,
         "token representation must not lose to chars"
     );
-    let mut g = c.benchmark_group("ablation_purity");
-    g.sample_size(10);
-    g.bench_function("token_matrix_300", |b| {
-        b.iter(|| black_box(cluster::DistanceMatrix::build(&token_sigs)))
+    bench.time("ablation_purity/token_matrix_300", 10, || {
+        cluster::DistanceMatrix::build(&token_sigs)
     });
-    g.bench_function("char_matrix_300", |b| {
-        b.iter(|| black_box(cluster::DistanceMatrix::build(&char_sigs)))
+    bench.time("ablation_purity/char_matrix_300", 10, || {
+        cluster::DistanceMatrix::build(&char_sigs)
     });
-    g.finish();
 }
 
-criterion_group!(
-    ablations,
-    ablation_token_vs_char_dld,
-    ablation_signature_dedup,
-    ablation_kmedoids_cost,
-    ablation_regex_fast_paths,
-    ablation_cluster_purity,
-);
-criterion_main!(ablations);
+fn main() {
+    let mut bench = Bench::from_args("ablations");
+    ablation_token_vs_char_dld(&mut bench);
+    ablation_signature_dedup(&mut bench);
+    ablation_kmedoids_cost(&mut bench);
+    ablation_regex_fast_paths(&mut bench);
+    ablation_cluster_purity(&mut bench);
+    bench.finish();
+}

@@ -1,22 +1,20 @@
 //! Prefiltered vs naive multi-pattern classification throughput.
 //!
-//! Unlike the criterion targets, this bench is a plain timing loop: the
-//! vendored criterion has no machine-readable output, and
-//! `scripts/bench_snapshot.sh` wants a JSON snapshot (`BENCH_classify.json`)
-//! it can check in. Both paths classify the same corpus — every command
-//! text in the shared benchmark dataset — and the naive path is the
-//! pre-prefilter implementation (`Classifier::classify_naive`), so the
-//! ratio is exactly what the prefilter bought.
+//! Both paths classify the same corpus — every command text in the shared
+//! benchmark dataset — and the naive path is the pre-prefilter
+//! implementation (`Classifier::classify_naive`), so the ratio is exactly
+//! what the prefilter bought. Each path's time is the best of five
+//! sweeps; `scripts/bench_snapshot.sh` checks the result in as
+//! `BENCH_classify.json`.
 //!
 //! ```text
 //! cargo bench --bench classify                    # print the numbers
 //! cargo bench --bench classify -- --json OUT.json # also write the snapshot
 //! ```
 
-use honeylab_bench::dataset;
+use honeylab_bench::{dataset, decimal, Bench};
 use honeylab_core::classify::Classifier;
-use std::hint::black_box;
-use std::time::Instant;
+use hutil::Json;
 
 /// One command text per command session in the benchmark dataset (the
 /// same `join("\n")` the analysis pipeline classifies).
@@ -35,26 +33,8 @@ fn corpus() -> Vec<String> {
         .collect()
 }
 
-/// Best-of-`runs` wall time of `f`, in seconds. `f` returns a checksum so
-/// the classified labels cannot be optimized away.
-fn best_secs(mut f: impl FnMut() -> u64, runs: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-
+    let mut bench = Bench::from_args("classify");
     let texts = corpus();
     let bytes: usize = texts.iter().map(String::len).sum();
     let cl = Classifier::table1();
@@ -66,21 +46,29 @@ fn main() {
         cl.prefiltered_rules(),
         cl.fallback_rules()
     );
+    bench.field("corpus_texts", Json::u64(texts.len() as u64));
+    bench.field("corpus_bytes", Json::u64(bytes as u64));
+    bench.field("rules", Json::u64(cl.len() as u64));
+    bench.field(
+        "prefiltered_rules",
+        Json::u64(cl.prefiltered_rules() as u64),
+    );
+    bench.field("fallback_rules", Json::u64(cl.fallback_rules() as u64));
 
-    let sweep_naive = || {
+    // Each sweep returns a checksum so the labels cannot be optimized away.
+    let sweep_naive = || -> u64 {
         texts
             .iter()
             .map(|t| cl.classify_naive(t).len() as u64)
             .sum()
     };
-    let sweep_pref = || texts.iter().map(|t| cl.classify(t).len() as u64).sum();
+    let sweep_pref = || -> u64 { texts.iter().map(|t| cl.classify(t).len() as u64).sum() };
 
     // The two sweeps must agree before their times mean anything.
     assert_eq!(sweep_naive(), sweep_pref(), "prefilter changed results");
 
-    const RUNS: usize = 5;
-    let naive = best_secs(sweep_naive, RUNS);
-    let pref = best_secs(sweep_pref, RUNS);
+    let naive = bench.time("naive", 5, sweep_naive).min.as_secs_f64();
+    let pref = bench.time("prefiltered", 5, sweep_pref).min.as_secs_f64();
     let speedup = naive / pref;
     let naive_tps = texts.len() as f64 / naive;
     let pref_tps = texts.len() as f64 / pref;
@@ -89,21 +77,10 @@ fn main() {
     println!("prefiltered {pref:>9.4} s   {pref_tps:>12.0} texts/s");
     println!("speedup     {speedup:>9.2}x");
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"bench\": \"classify\",\n  \"corpus_texts\": {},\n  \"corpus_bytes\": {},\n  \"rules\": {},\n  \"prefiltered_rules\": {},\n  \"fallback_rules\": {},\n  \"naive_secs\": {:.6},\n  \"prefiltered_secs\": {:.6},\n  \"naive_texts_per_sec\": {:.0},\n  \"prefiltered_texts_per_sec\": {:.0},\n  \"speedup\": {:.2}\n}}\n",
-            texts.len(),
-            bytes,
-            cl.len(),
-            cl.prefiltered_rules(),
-            cl.fallback_rules(),
-            naive,
-            pref,
-            naive_tps,
-            pref_tps,
-            speedup
-        );
-        std::fs::write(&path, json).expect("write json snapshot");
-        eprintln!("wrote {path}");
-    }
+    bench.field("naive_secs", decimal(naive, 6));
+    bench.field("prefiltered_secs", decimal(pref, 6));
+    bench.field("naive_texts_per_sec", decimal(naive_tps, 0));
+    bench.field("prefiltered_texts_per_sec", decimal(pref_tps, 0));
+    bench.field("speedup", decimal(speedup, 2));
+    bench.finish();
 }

@@ -1,11 +1,9 @@
 //! Interned/triangular vs naive §6 clustering throughput.
 //!
-//! Like the classify bench, this is a plain timing loop with its own JSON
-//! writer (`BENCH_cluster.json` via `scripts/bench_snapshot.sh`): the
-//! vendored criterion has no machine-readable output. Both paths run the
-//! same end-to-end pipeline — distance-matrix build plus the k-selection
-//! sweep — over the same signature corpus extracted from the shared
-//! benchmark dataset:
+//! Both paths run the same end-to-end pipeline — distance-matrix build
+//! plus the k-selection sweep — over the same signature corpus extracted
+//! from the shared benchmark dataset, best of three runs each
+//! (`BENCH_cluster.json` via `scripts/bench_snapshot.sh`):
 //!
 //! * **naive** — the pre-optimisation path kept verbatim in
 //!   `cluster::naive`: dense `n × n` matrix over heap `String` tokens,
@@ -25,12 +23,10 @@
 //! cargo bench --bench cluster -- --scaling       # EXPERIMENTS.md prefix table
 //! ```
 
-use botnet::{generate_dataset, DriverConfig};
-use honeylab_bench::dataset;
+use honeylab_bench::{dataset, decimal, smoke, Bench};
 use honeylab_core::cluster::{self, naive, DistanceMatrix};
 use honeylab_core::{report, tokens};
-use std::hint::black_box;
-use std::time::Instant;
+use hutil::Json;
 
 /// The k-selection sweep the experiments binary runs (Figs. 5/6).
 const KS: &[usize] = &[10, 30, 60, 90, 120];
@@ -58,18 +54,6 @@ fn corpus(sessions: &[honeypot::SessionRecord]) -> (Vec<Vec<String>>, Vec<u64>) 
     (signatures, weights)
 }
 
-/// Best-of-`runs` wall time of `f`, in seconds. `f` returns a checksum so
-/// the pipeline cannot be optimized away.
-fn best_secs(mut f: impl FnMut() -> u64, runs: usize) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs {
-        let t = Instant::now();
-        black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
 /// Checksum over a sweep result (k, wcss, silhouette) — bit-exact, so both
 /// paths must produce identical floats to produce identical sums.
 fn sweep_checksum(sweep: &[(usize, f64, f64)]) -> u64 {
@@ -81,11 +65,10 @@ fn sweep_checksum(sweep: &[(usize, f64, f64)]) -> u64 {
     })
 }
 
-/// Times both pipelines over growing prefixes of the corpus and prints the
-/// EXPERIMENTS.md cluster-scaling markdown table.
-fn scaling_table(signatures: &[Vec<String>], weights: &[u64], ks: &[usize]) {
-    println!("| signatures | naive build + sweep | interned build + sweep | speedup |");
-    println!("|---|---|---|---|");
+/// Times both pipelines (best of two) over growing prefixes of the corpus
+/// and prints the EXPERIMENTS.md cluster-scaling markdown table.
+fn scaling_table(bench: &mut Bench, signatures: &[Vec<String>], weights: &[u64], ks: &[usize]) {
+    let mut table = Vec::new();
     for &n in &[250usize, 500, 1000, signatures.len()] {
         if n > signatures.len() {
             continue;
@@ -101,33 +84,27 @@ fn scaling_table(signatures: &[Vec<String>], weights: &[u64], ks: &[usize]) {
             sweep_checksum(&cluster::sweep_k(&m, ws, &ks, 42))
         };
         assert_eq!(run_naive(), run_fast(), "checksums diverged at n={n}");
-        let naive_secs = best_secs(run_naive, 2);
-        let fast_secs = best_secs(run_fast, 2);
-        println!(
-            "| {n} | {naive_secs:.3} s | {fast_secs:.3} s | {:.1}× |",
-            naive_secs / fast_secs
-        );
+        let naive_secs = bench.time(format!("scaling/naive_{n}"), 2, run_naive).min;
+        let fast_secs = bench.time(format!("scaling/interned_{n}"), 2, run_fast).min;
+        table.push(format!(
+            "| {n} | {:.3} s | {:.3} s | {:.1}× |",
+            naive_secs.as_secs_f64(),
+            fast_secs.as_secs_f64(),
+            naive_secs.as_secs_f64() / fast_secs.as_secs_f64()
+        ));
+    }
+    println!("| signatures | naive build + sweep | interned build + sweep | speedup |");
+    println!("|---|---|---|---|");
+    for row in table {
+        println!("{row}");
     }
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let scaling = args.iter().any(|a| a == "--scaling");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+    let mut bench = Bench::from_args("cluster");
+    let scaling = std::env::args().any(|a| a == "--scaling");
 
-    let small;
-    let sessions: &[honeypot::SessionRecord] = if smoke {
-        small = generate_dataset(&DriverConfig::test_scale(42));
-        &small.sessions
-    } else {
-        &dataset().sessions
-    };
-    let (signatures, weights) = corpus(sessions);
+    let (signatures, weights) = corpus(&dataset().sessions);
     let n = signatures.len();
     let ks: Vec<usize> = KS.iter().copied().filter(|&k| k <= n.max(1)).collect();
     let ks = if ks.is_empty() { vec![1] } else { ks };
@@ -136,10 +113,10 @@ fn main() {
         n,
         weights.iter().sum::<u64>(),
         ks,
-        if smoke { " [smoke]" } else { "" }
+        if smoke() { " [smoke]" } else { "" }
     );
     if scaling {
-        scaling_table(&signatures, &weights, KS);
+        scaling_table(&mut bench, &signatures, &weights, KS);
         return;
     }
 
@@ -173,7 +150,7 @@ fn main() {
     drop((dense, packed));
 
     // ---------------------------------------------------------- timing
-    // End-to-end: matrix build + full k-selection sweep, per ISSUE.
+    // End-to-end: matrix build + full k-selection sweep.
     let run_naive = || {
         let m = naive::DenseMatrix::build(&signatures);
         sweep_checksum(&naive::sweep_k(&m, &weights, &ks, 42))
@@ -183,41 +160,34 @@ fn main() {
         sweep_checksum(&cluster::sweep_k(&m, &weights, &ks, 42))
     };
     assert_eq!(run_naive(), run_fast(), "checksums diverged");
-    if smoke {
-        println!("cluster bench smoke: OK ({n} signatures)");
-        return;
-    }
 
     const RUNS: usize = 3;
-    let naive_secs = best_secs(run_naive, RUNS);
-    let fast_secs = best_secs(run_fast, RUNS);
+    let secs = |t: honeylab_bench::Timing| t.min.as_secs_f64();
+    let naive_secs = secs(bench.time("naive_end_to_end", RUNS, run_naive));
+    let fast_secs = secs(bench.time("interned_end_to_end", RUNS, run_fast));
     let speedup = naive_secs / fast_secs;
 
     // Matrix build alone, to show where the time went.
-    let naive_build = best_secs(|| naive::DenseMatrix::build(&signatures).len() as u64, RUNS);
-    let fast_build = best_secs(|| DistanceMatrix::build(&signatures).len() as u64, RUNS);
+    let naive_build = secs(bench.time("naive_build", RUNS, || {
+        naive::DenseMatrix::build(&signatures).len()
+    }));
+    let fast_build = secs(bench.time("interned_build", RUNS, || {
+        DistanceMatrix::build(&signatures).len()
+    }));
+    let build_speedup = naive_build / fast_build;
 
     println!("naive    end-to-end {naive_secs:>9.4} s   build {naive_build:>9.4} s");
     println!("interned end-to-end {fast_secs:>9.4} s   build {fast_build:>9.4} s");
-    println!(
-        "speedup  end-to-end {speedup:>9.2}x   build {:>9.2}x",
-        naive_build / fast_build
-    );
+    println!("speedup  end-to-end {speedup:>9.2}x   build {build_speedup:>9.2}x");
 
-    if let Some(path) = json_path {
-        let json = format!(
-            "{{\n  \"bench\": \"cluster\",\n  \"signatures\": {},\n  \"sessions\": {},\n  \"ks\": {:?},\n  \"naive_secs\": {:.6},\n  \"interned_secs\": {:.6},\n  \"naive_build_secs\": {:.6},\n  \"interned_build_secs\": {:.6},\n  \"speedup\": {:.2},\n  \"build_speedup\": {:.2}\n}}\n",
-            n,
-            weights.iter().sum::<u64>(),
-            ks,
-            naive_secs,
-            fast_secs,
-            naive_build,
-            fast_build,
-            speedup,
-            naive_build / fast_build
-        );
-        std::fs::write(&path, json).expect("write json snapshot");
-        eprintln!("wrote {path}");
-    }
+    bench.field("signatures", Json::u64(n as u64));
+    bench.field("sessions", Json::u64(weights.iter().sum()));
+    bench.field("ks", Json::arr(ks.iter().map(|&k| Json::u64(k as u64))));
+    bench.field("naive_secs", decimal(naive_secs, 6));
+    bench.field("interned_secs", decimal(fast_secs, 6));
+    bench.field("naive_build_secs", decimal(naive_build, 6));
+    bench.field("interned_build_secs", decimal(fast_build, 6));
+    bench.field("speedup", decimal(speedup, 2));
+    bench.field("build_speedup", decimal(build_speedup, 2));
+    bench.finish();
 }

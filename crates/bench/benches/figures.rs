@@ -1,366 +1,80 @@
-//! One benchmark per paper artefact: each regenerates a table or figure's
-//! data from the shared dataset, printing the headline rows once so a
-//! `cargo bench` run doubles as a reproduction log.
+//! One timing per paper artefact: each id regenerates a table or figure's
+//! data from the shared dataset (ids as in DESIGN.md §4). The artefacts
+//! themselves are printed against the paper's numbers by the
+//! `experiments` binary and their shapes asserted by `tests/figures.rs`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use honeylab_bench::{dataset, generate_bench_config, BENCH_SCALE};
+use honeylab_bench::{dataset, generate_bench_config, Bench};
 use honeylab_core::classify::Classifier;
 use honeylab_core::taxonomy::TaxonomyStats;
 use honeylab_core::{cluster, logins, mdrfckr, report, storage_analysis as sa};
-use std::hint::black_box;
-use std::sync::OnceLock;
 
-fn classifier() -> &'static Classifier {
-    static CL: OnceLock<Classifier> = OnceLock::new();
-    CL.get_or_init(Classifier::table1)
-}
-
-fn bench_generate(c: &mut Criterion) {
+fn main() {
+    let mut bench = Bench::from_args("figures");
     // Dataset generation itself (the honeynet + attacker ecosystem).
-    let mut g = c.benchmark_group("generate");
-    g.sample_size(10);
     let cfg = generate_bench_config();
-    g.bench_function("dataset_1_to_20000", |b| {
-        b.iter(|| black_box(botnet::generate_dataset(&cfg).sessions.len()))
+    bench.time("generate/dataset_1_to_20000", 10, || {
+        botnet::generate_dataset(&cfg).sessions.len()
     });
-    g.finish();
-}
 
-fn bench_dataset_stats(c: &mut Criterion) {
     let ds = dataset();
-    let stats = TaxonomyStats::compute(&ds.sessions);
-    println!("{}", report::render_dataset_stats(&stats, BENCH_SCALE));
-    c.bench_function("table_dataset_stats", |b| {
-        b.iter(|| black_box(TaxonomyStats::compute(&ds.sessions)))
+    let s = &ds.sessions;
+    let cl = Classifier::table1();
+    let registry = &ds.world.registry;
+    bench.time("table_dataset_stats", 12, || TaxonomyStats::compute(s));
+    bench.time("fig01_state_split", 12, || report::fig1(s));
+    bench.time("fig02_scout_categories", 12, || report::fig2(s, &cl));
+    bench.time("fig03_state_change_categories", 12, || {
+        (report::fig3a(s, &cl), report::fig3b(s, &cl))
     });
-}
-
-fn bench_fig01(c: &mut Criterion) {
-    let ds = dataset();
-    let f = report::fig1(&ds.sessions);
-    println!("{}", report::render_fig1(&f));
-    c.bench_function("fig01_state_split", |b| {
-        b.iter(|| black_box(report::fig1(&ds.sessions)))
+    bench.time("fig04_file_exists_missing", 12, || report::fig4(s, &cl));
+    bench.time("fig05_06/clustering_k90", 10, || {
+        report::cluster_analysis(s, &ds.abuse, 90, 42)
     });
-}
 
-fn bench_fig02(c: &mut Criterion) {
-    let ds = dataset();
-    let f = report::fig2(&ds.sessions, classifier());
-    println!("{}", f.render("Fig 2: non-state-changing bots", 4));
-    c.bench_function("fig02_scout_categories", |b| {
-        b.iter(|| black_box(report::fig2(&ds.sessions, classifier())))
+    let events = sa::download_events(s);
+    bench.time("fig07_sankey", 12, || sa::sankey_flows(&events, registry));
+    bench.time("fig08_as_age_size", 12, || {
+        (
+            sa::as_age_by_month(&events, registry),
+            sa::as_size_by_month(&events, registry),
+        )
     });
-}
-
-fn bench_fig03(c: &mut Criterion) {
-    let ds = dataset();
-    println!(
-        "{}",
-        report::fig3a(&ds.sessions, classifier()).render("Fig 3a: file mod, no exec", 4)
-    );
-    println!(
-        "{}",
-        report::fig3b(&ds.sessions, classifier()).render("Fig 3b: exec attempts", 4)
-    );
-    c.bench_function("fig03_state_change_categories", |b| {
-        b.iter(|| {
-            black_box(report::fig3a(&ds.sessions, classifier()));
-            black_box(report::fig3b(&ds.sessions, classifier()));
-        })
+    let ok_events = sa::successful_download_events(s);
+    let (start, end) = (ds.config.window_start, ds.config.window_end);
+    bench.time("fig09_ip_reuse", 12, || {
+        sa::reuse_buckets_by_week(&ok_events, 7, start, end)
     });
-}
 
-fn bench_fig04(c: &mut Criterion) {
-    let ds = dataset();
-    let (exists, missing) = report::fig4(&ds.sessions, classifier());
-    println!("{}", exists.render("Fig 4a: exec, file exists", 3));
-    println!("{}", missing.render("Fig 4b: exec, file missing", 3));
-    c.bench_function("fig04_file_exists_missing", |b| {
-        b.iter(|| black_box(report::fig4(&ds.sessions, classifier())))
+    bench.time("fig10_top_passwords", 12, || logins::top_passwords(s, 5));
+    bench.time("fig11_cowrie_defaults", 12, || {
+        logins::cowrie_default_probes(s)
     });
-}
-
-fn bench_fig05_06(c: &mut Criterion) {
-    let ds = dataset();
-    let ca = report::cluster_analysis(&ds.sessions, &ds.abuse, 90, 42);
-    println!(
-        "Fig 5/6: {} signatures, k={}",
-        ca.signatures.len(),
-        ca.clustering.k()
-    );
-    println!("{}", report::render_fig5(&ca, 8));
-    println!("Top clusters (Fig 6):");
-    for (cix, n) in ca.top_clusters(5) {
-        println!(
-            "  C-{} ({}) {} sessions",
-            ca.display_rank(cix),
-            ca.labels[cix],
-            n
-        );
-    }
-    let mut g = c.benchmark_group("fig05_06");
-    g.sample_size(10);
-    g.bench_function("clustering_k90", |b| {
-        b.iter(|| black_box(report::cluster_analysis(&ds.sessions, &ds.abuse, 90, 42)))
+    bench.time("fig12_13_mdrfckr", 12, || {
+        let tl = mdrfckr::timeline(s);
+        (mdrfckr::detect_dips(&tl, 0.12), mdrfckr::variant_series(s))
     });
-    g.finish();
-}
-
-fn bench_fig07(c: &mut Criterion) {
-    let ds = dataset();
-    let events = sa::download_events(&ds.sessions);
-    for f in sa::sankey_flows(&events, &ds.world.registry) {
-        println!(
-            "Fig 7: {:>8} -> {:<8} {:>7} events ({} same-IP)",
-            f.client_type.label(),
-            f.storage_type.label(),
-            f.events,
-            f.same_ip
-        );
-    }
-    c.bench_function("fig07_sankey", |b| {
-        b.iter(|| black_box(sa::sankey_flows(&events, &ds.world.registry)))
+    bench.time("fig14_intercategory_dld", 12, || report::fig14(s, &cl, 8));
+    bench.time("fig15_16_17_appendices", 12, || {
+        (report::fig16(s), sa::as_type_by_month(&events, registry))
     });
-}
 
-fn bench_fig08(c: &mut Criterion) {
-    let ds = dataset();
-    let events = sa::download_events(&ds.sessions);
-    let age = sa::as_age_by_month(&events, &ds.world.registry);
-    let size = sa::as_size_by_month(&events, &ds.world.registry);
-    let (mut y, mut m5, mut o) = (0u64, 0u64, 0u64);
-    for v in age.values() {
-        y += v[0];
-        m5 += v[1];
-        o += v[2];
-    }
-    let total = (y + m5 + o).max(1) as f64;
-    println!(
-        "Fig 8a: <1y {:.0}%  1-5y {:.0}%  >5y {:.0}% (paper: >35% / >70% cumulative)",
-        100.0 * y as f64 / total,
-        100.0 * m5 as f64 / total,
-        100.0 * o as f64 / total
-    );
-    let (mut one, mut small, mut big) = (0u64, 0u64, 0u64);
-    for v in size.values() {
-        one += v[0];
-        small += v[1];
-        big += v[2];
-    }
-    let total = (one + small + big).max(1) as f64;
-    println!(
-        "Fig 8b: one /24 {:.0}%  <50 {:.0}%  >=50 {:.0}% (paper: ~20% / ~50% cumulative)",
-        100.0 * one as f64 / total,
-        100.0 * small as f64 / total,
-        100.0 * big as f64 / total
-    );
-    c.bench_function("fig08_as_age_size", |b| {
-        b.iter(|| {
-            black_box(sa::as_age_by_month(&events, &ds.world.registry));
-            black_box(sa::as_size_by_month(&events, &ds.world.registry));
-        })
-    });
-}
-
-fn bench_fig09(c: &mut Criterion) {
-    let ds = dataset();
-    let events = sa::successful_download_events(&ds.sessions);
-    let cfg = &ds.config;
-    for recall in [7i64, 28, 365] {
-        let rows = sa::reuse_buckets_by_week(&events, recall, cfg.window_start, cfg.window_end);
-        let mut agg = vec![0u64; sa::FIG9_BUCKETS.len()];
-        for (_, counts) in &rows {
-            for (i, v) in counts.iter().enumerate() {
-                agg[i] += v;
-            }
-        }
-        let total: u64 = agg.iter().sum::<u64>().max(1);
-        println!(
-            "Fig 9 (recall {recall:>3}d): <=1d {:.0}%  <=4d {:.0}%  <=1w {:.0}%  rest {:.0}%",
-            100.0 * agg[0] as f64 / total as f64,
-            100.0 * agg[1] as f64 / total as f64,
-            100.0 * agg[2] as f64 / total as f64,
-            100.0 * agg[3..].iter().sum::<u64>() as f64 / total as f64,
-        );
-    }
-    println!(
-        "Fig 9: >=6mo reappearance {:.0}% (paper: ~25%)",
-        sa::long_reappearance_frac(&events) * 100.0
-    );
-    c.bench_function("fig09_ip_reuse", |b| {
-        b.iter(|| {
-            black_box(sa::reuse_buckets_by_week(
-                &events,
-                7,
-                cfg.window_start,
-                cfg.window_end,
-            ))
-        })
-    });
-}
-
-fn bench_fig10(c: &mut Criterion) {
-    let ds = dataset();
-    let top = logins::top_passwords(&ds.sessions, 5);
-    println!("Fig 10: top passwords: {:?}", top.passwords);
-    let p = logins::password_profile(&ds.sessions, "3245gs5662d34");
-    println!(
-        "  3245gs5662d34: {} sessions, {} IPs, first {}",
-        p.sessions,
-        p.unique_ips,
-        p.first_seen.map(|t| t.label()).unwrap_or_default()
-    );
-    c.bench_function("fig10_top_passwords", |b| {
-        b.iter(|| black_box(logins::top_passwords(&ds.sessions, 5)))
-    });
-}
-
-fn bench_fig11(c: &mut Criterion) {
-    let ds = dataset();
-    let probes = logins::cowrie_default_probes(&ds.sessions);
-    println!(
-        "Fig 11: phil={} richard={} unique-ips={} quiet={:.0}%",
-        probes.phil_success.values().sum::<u64>(),
-        probes.richard_tries.values().sum::<u64>(),
-        probes.phil_unique_ips,
-        probes.phil_no_command_frac * 100.0
-    );
-    c.bench_function("fig11_cowrie_defaults", |b| {
-        b.iter(|| black_box(logins::cowrie_default_probes(&ds.sessions)))
-    });
-}
-
-fn bench_fig12_13(c: &mut Criterion) {
-    let ds = dataset();
-    let tl = mdrfckr::timeline(&ds.sessions);
-    let dips = mdrfckr::detect_dips(&tl, 0.12);
-    println!(
-        "Fig 12: mdrfckr {} sessions over {} days; {} dips detected (paper: 8 windows)",
-        tl.daily.values().map(|(n, _)| n).sum::<u64>(),
-        tl.daily.len(),
-        dips.len()
-    );
-    let vs = mdrfckr::variant_series(&ds.sessions);
-    let first_variant = vs.monthly.iter().find(|(_, v)| v[1] > 0).map(|(m, _)| *m);
-    println!(
-        "Fig 13: variant first seen {:?} (paper: 2022-12); cred overlap {:.1}%",
-        first_variant.map(|m| m.label()),
-        mdrfckr::cred_overlap_frac(&ds.sessions) * 100.0
-    );
-    c.bench_function("fig12_13_mdrfckr", |b| {
-        b.iter(|| {
-            let tl = mdrfckr::timeline(&ds.sessions);
-            black_box(mdrfckr::detect_dips(&tl, 0.12));
-            black_box(mdrfckr::variant_series(&ds.sessions));
-        })
-    });
-}
-
-fn bench_fig14(c: &mut Criterion) {
-    let ds = dataset();
-    let f = report::fig14(&ds.sessions, classifier(), 8);
-    println!(
-        "Fig 14: {} categories in the inter-category DLD matrix",
-        f.labels.len()
-    );
-    c.bench_function("fig14_intercategory_dld", |b| {
-        b.iter(|| black_box(report::fig14(&ds.sessions, classifier(), 8)))
-    });
-}
-
-fn bench_fig15_16_17(c: &mut Criterion) {
-    let ds = dataset();
-    if let Some(snip) = report::fig15_snippet(&ds.sessions) {
-        println!("Fig 15: {snip}");
-    }
-    let f16 = report::fig16(&ds.sessions);
-    let (e, m): (u64, u64) = f16
-        .values()
-        .fold((0, 0), |acc, (a, b)| (acc.0 + a, acc.1 + b));
-    println!("Fig 16: unique exec commands — exists {e}, missing {m}");
-    let events = sa::download_events(&ds.sessions);
-    let f17 = sa::as_type_by_month(&events, &ds.world.registry);
-    let mut tot = [0u64; 4];
-    for v in f17.values() {
-        for i in 0..4 {
-            tot[i] += v[i];
-        }
-    }
-    println!(
-        "Fig 17: CDN={} Hosting={} ISP/NSP={} Other={}",
-        tot[0], tot[1], tot[2], tot[3]
-    );
-    c.bench_function("fig15_16_17_appendices", |b| {
-        b.iter(|| {
-            black_box(report::fig16(&ds.sessions));
-            black_box(sa::as_type_by_month(&events, &ds.world.registry));
-        })
-    });
-}
-
-fn bench_table1(c: &mut Criterion) {
-    let ds = dataset();
-    let cov = report::classification_coverage(&ds.sessions, classifier());
-    println!(
-        "Table 1: classification coverage {:.2}% (paper: >99%)",
-        cov * 100.0
-    );
-    let texts: Vec<String> = report::command_sessions(&ds.sessions)
+    let texts: Vec<String> = report::command_sessions(s)
         .iter()
         .take(2_000)
         .map(|s| s.command_text())
         .collect();
-    c.bench_function("table1_classify_2k_sessions", |b| {
-        b.iter(|| {
-            let cl = classifier();
-            let mut known = 0usize;
-            for t in &texts {
-                if cl.classify(t) != honeylab_core::UNKNOWN_LABEL {
-                    known += 1;
-                }
-            }
-            black_box(known)
-        })
+    bench.time("table1_classify_2k_sessions", 12, || {
+        texts
+            .iter()
+            .filter(|t| cl.classify(t) != honeylab_core::UNKNOWN_LABEL)
+            .count()
     });
-}
 
-fn bench_elbow(c: &mut Criterion) {
-    let ds = dataset();
-    let ca = report::cluster_analysis(&ds.sessions, &ds.abuse, 2, 42);
+    // The §6 k-choice: `experiments` prints the sweep and its elbow pick.
+    let ca = report::cluster_analysis(s, &ds.abuse, 2, 42);
     let m = cluster::DistanceMatrix::build(&ca.signatures);
-    let sweep = cluster::sweep_k(&m, &ca.weights, &[10, 30, 60, 90, 120], 42);
-    for (k, w, s) in &sweep {
-        println!("elbow sweep: k={k:<4} wcss={w:>12.1} silhouette={s:.3}");
-    }
-    let wcss_pts: Vec<(usize, f64)> = sweep.iter().map(|(k, w, _)| (*k, *w)).collect();
-    println!("elbow pick: k={}", cluster::select_k_elbow(&wcss_pts));
-    let mut g = c.benchmark_group("cluster_selection");
-    g.sample_size(10);
-    g.bench_function("k_sweep", |b| {
-        b.iter(|| black_box(cluster::sweep_k(&m, &ca.weights, &[30, 90], 42)))
+    bench.time("cluster_selection/k_sweep", 10, || {
+        cluster::sweep_k(&m, &ca.weights, &[30, 90], 42)
     });
-    g.finish();
+    bench.finish();
 }
-
-criterion_group!(
-    figures,
-    bench_generate,
-    bench_dataset_stats,
-    bench_fig01,
-    bench_fig02,
-    bench_fig03,
-    bench_fig04,
-    bench_fig05_06,
-    bench_fig07,
-    bench_fig08,
-    bench_fig09,
-    bench_fig10,
-    bench_fig11,
-    bench_fig12_13,
-    bench_fig14,
-    bench_fig15_16_17,
-    bench_table1,
-    bench_elbow,
-);
-criterion_main!(figures);

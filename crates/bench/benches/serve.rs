@@ -2,8 +2,8 @@
 //! end-to-end over real loopback sockets with the `barrage` load
 //! harness.
 //!
-//! Like `classify.rs`, this is a plain timing loop with its own JSON
-//! writer (the vendored criterion has no machine-readable output);
+//! Unlike the other targets it times no routine: each point is one
+//! barrage run, and the snapshot holds its report.
 //! `scripts/bench_snapshot.sh` checks the result in as
 //! `BENCH_serve.json`.
 //!
@@ -25,9 +25,10 @@
 //! cargo bench -p honeylab-bench --bench serve -- --smoke          # CI-sized
 //! ```
 
+use honeylab_bench::{decimal, smoke, Bench};
+use hutil::Json;
 use serve::barrage::{self, BarrageConfig, BarrageReport, LoadMode};
 use serve::{ServeConfig, Server};
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// Whole-process CPU seconds (utime + stime) from `/proc/self/stat` —
@@ -139,35 +140,28 @@ fn print_point(p: &Point) {
     );
 }
 
-fn json_point(p: &Point) -> String {
+fn json_point(p: &Point) -> Json {
     let r = &p.report;
-    format!(
-        "{{\"mode\": \"{}\", \"idle_background\": {}, \"planned\": {}, \"completed\": {}, \"shed\": {}, \"errors\": {}, \"timeouts\": {}, \"offered_sps\": {:.1}, \"achieved_sps\": {:.1}, \"p50_ms\": {:.3}, \"p99_ms\": {:.3}, \"p999_ms\": {:.3}, \"duration_secs\": {:.3}, \"cpu_secs\": {:.3}}}",
-        p.mode,
-        p.idle_background,
-        r.planned,
-        r.completed,
-        r.shed,
-        r.errors,
-        r.timeouts,
-        r.offered_sps,
-        r.achieved_sps,
-        r.p50_ms,
-        r.p99_ms,
-        r.p999_ms,
-        r.duration_secs,
-        p.cpu_secs
-    )
+    Json::obj([
+        ("mode", Json::str(&p.mode)),
+        ("idle_background", Json::u64(p.idle_background as u64)),
+        ("planned", Json::u64(r.planned)),
+        ("completed", Json::u64(r.completed)),
+        ("shed", Json::u64(r.shed)),
+        ("errors", Json::u64(r.errors)),
+        ("timeouts", Json::u64(r.timeouts)),
+        ("offered_sps", decimal(r.offered_sps, 1)),
+        ("achieved_sps", decimal(r.achieved_sps, 1)),
+        ("p50_ms", decimal(r.p50_ms, 3)),
+        ("p99_ms", decimal(r.p99_ms, 3)),
+        ("p999_ms", decimal(r.p999_ms, 3)),
+        ("duration_secs", decimal(r.duration_secs, 3)),
+        ("cpu_secs", decimal(p.cpu_secs, 3)),
+    ])
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
-    let smoke = args.iter().any(|a| a == "--smoke");
+    let mut bench = Bench::from_args("serve");
 
     // Server shards scale with the host.
     let server_workers = std::thread::available_parallelism()
@@ -175,7 +169,7 @@ fn main() {
         .unwrap_or(4)
         .clamp(1, 8);
 
-    if smoke {
+    if smoke() {
         // CI-sized correctness pass: a small closed-loop barrage (with a
         // token idle pool) completes with zero shed and zero client
         // errors.
@@ -282,16 +276,19 @@ fn main() {
     println!("saturation under {idle_background} idle conns: {sat_idle:.0}/s");
     println!("active-only saturation: {sat_active:.0}/s");
 
-    if let Some(path) = json_path {
-        let mut rows = String::new();
-        for (i, p) in points.iter().enumerate() {
-            let sep = if i + 1 < points.len() { "," } else { "" };
-            let _ = writeln!(rows, "    {}{}", json_point(p), sep);
-        }
-        let json = format!(
-            "{{\n  \"bench\": \"serve\",\n  \"server_workers\": {server_workers},\n  \"idle_background\": {idle_background},\n  \"idle_saturation_concurrency\": {idle_concurrency},\n  \"active_saturation_concurrency\": {active_concurrency},\n  \"saturation_best_of\": {saturation_repeats},\n  \"reactor_saturation_sps\": {sat_idle:.1},\n  \"reactor_active_saturation_sps\": {sat_active:.1},\n  \"points\": [\n{rows}  ]\n}}\n"
-        );
-        std::fs::write(&path, json).expect("write json snapshot");
-        eprintln!("wrote {path}");
-    }
+    bench.field("server_workers", Json::u64(server_workers as u64));
+    bench.field("idle_background", Json::u64(idle_background as u64));
+    bench.field(
+        "idle_saturation_concurrency",
+        Json::u64(idle_concurrency as u64),
+    );
+    bench.field(
+        "active_saturation_concurrency",
+        Json::u64(active_concurrency as u64),
+    );
+    bench.field("saturation_best_of", Json::u64(saturation_repeats as u64));
+    bench.field("reactor_saturation_sps", decimal(sat_idle, 1));
+    bench.field("reactor_active_saturation_sps", decimal(sat_active, 1));
+    bench.field("points", Json::arr(points.iter().map(json_point)));
+    bench.finish();
 }

@@ -6,12 +6,10 @@
 //! cold-scan benches reopen it every iteration so segment metadata loading
 //! is included in the measured cost.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use honeylab_bench::dataset;
+use honeylab_bench::{dataset, Bench};
 use honeypot::{from_cowrie_log_lossy, to_cowrie_log};
 use hutil::Date;
 use sessiondb::{Store, StoreWriter};
-use std::hint::black_box;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
@@ -40,60 +38,52 @@ fn cowrie_log() -> &'static String {
     LOG.get_or_init(|| to_cowrie_log(&dataset().sessions))
 }
 
-fn bench_write(c: &mut Criterion) {
+fn bench_write(bench: &mut Bench) {
     let ds = dataset();
     let dir = std::env::temp_dir().join("honeylab-bench-write.hsdb");
-    c.bench_function("sessiondb_write", |b| {
-        b.iter(|| {
-            std::fs::remove_dir_all(&dir).ok();
-            let mut w = StoreWriter::create(&dir).expect("create store");
-            for r in &ds.sessions {
-                w.append(r).expect("append");
-            }
-            black_box(w.finish().expect("finish").len())
-        })
+    bench.time("sessiondb_write", 12, || {
+        std::fs::remove_dir_all(&dir).ok();
+        let mut w = StoreWriter::create(&dir).expect("create store");
+        for r in &ds.sessions {
+            w.append(r).expect("append");
+        }
+        w.finish().expect("finish").len()
     });
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn bench_cold_scan(c: &mut Criterion) {
+fn bench_cold_scan(bench: &mut Bench) {
     let dir = store_dir();
-    c.bench_function("sessiondb_cold_scan", |b| {
-        b.iter(|| {
-            let store = Store::open(dir).expect("open store");
-            let n = store
-                .scan()
-                .records()
-                .inspect(|r| assert!(r.is_ok()))
-                .count();
-            black_box(n)
-        })
+    bench.time("sessiondb_cold_scan", 12, || {
+        let store = Store::open(dir).expect("open store");
+        store
+            .scan()
+            .records()
+            .inspect(|r| assert!(r.is_ok()))
+            .count()
     });
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    c.bench_function("sessiondb_cold_par_scan", |b| {
-        b.iter(|| {
-            let store = Store::open(dir).expect("open store");
-            let n: u64 = store
-                .par_scan(
-                    workers,
-                    |acc: &mut u64, batch| *acc += batch.len() as u64,
-                    |a, b| a + b,
-                )
-                .expect("clean store");
-            black_box(n)
-        })
+    bench.time("sessiondb_cold_par_scan", 12, || {
+        let store = Store::open(dir).expect("open store");
+        store
+            .par_scan(
+                workers,
+                |acc: &mut u64, batch| *acc += batch.len() as u64,
+                |a, b| a + b,
+            )
+            .expect("clean store")
     });
     // The baseline an analyst without the store pays: re-parse the whole
     // JSON-lines log. The acceptance bar is cold scan beating this.
     let log = cowrie_log();
-    c.bench_function("json_reparse_baseline", |b| {
-        b.iter(|| black_box(from_cowrie_log_lossy(log).sessions.len()))
+    bench.time("json_reparse_baseline", 12, || {
+        from_cowrie_log_lossy(log).sessions.len()
     });
 }
 
-fn bench_month_scan(c: &mut Criterion) {
+fn bench_month_scan(bench: &mut Bench) {
     let dir = store_dir();
     let lo = Date::new(2023, 6, 1).at_midnight();
     let hi = Date::new(2023, 7, 1).at_midnight(); // half-open: July 1 excluded
@@ -104,31 +94,28 @@ fn bench_month_scan(c: &mut Criterion) {
         println!("zone map: {live}/{total} segments survive the June 2023 window");
         assert!(live < total, "pruning must discard out-of-window segments");
     }
-    c.bench_function("sessiondb_month_scan", |b| {
-        b.iter(|| {
-            let store = Store::open(dir).expect("open store");
-            let n = store
-                .scan_window(lo, hi)
-                .records()
-                .inspect(|r| assert!(r.is_ok()))
-                .count();
-            black_box(n)
-        })
+    bench.time("sessiondb_month_scan", 12, || {
+        let store = Store::open(dir).expect("open store");
+        store
+            .scan_window(lo, hi)
+            .records()
+            .inspect(|r| assert!(r.is_ok()))
+            .count()
     });
     let log = cowrie_log();
-    c.bench_function("json_reparse_month_baseline", |b| {
-        b.iter(|| {
-            let import = from_cowrie_log_lossy(log);
-            black_box(
-                import
-                    .sessions
-                    .iter()
-                    .filter(|s| s.start >= lo && s.start < hi)
-                    .count(),
-            )
-        })
+    bench.time("json_reparse_month_baseline", 12, || {
+        from_cowrie_log_lossy(log)
+            .sessions
+            .iter()
+            .filter(|s| s.start >= lo && s.start < hi)
+            .count()
     });
 }
 
-criterion_group!(benches, bench_write, bench_cold_scan, bench_month_scan);
-criterion_main!(benches);
+fn main() {
+    let mut bench = Bench::from_args("sessiondb");
+    bench_write(&mut bench);
+    bench_cold_scan(&mut bench);
+    bench_month_scan(&mut bench);
+    bench.finish();
+}

@@ -68,8 +68,8 @@ use std::time::Duration;
 /// Everything that can go wrong starting or stopping a server.
 #[derive(Debug)]
 pub enum ServeError {
-    /// Neither an SSH nor a Telnet port was configured.
-    NoListeners,
+    /// The config broke an invariant ([`ServeConfig::validate`]).
+    Config(ConfigError),
     /// Binding a listener failed.
     Bind {
         /// Address we tried to bind.
@@ -106,7 +106,7 @@ pub enum ServeError {
 impl std::fmt::Display for ServeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ServeError::NoListeners => write!(f, "no ports configured: nothing to serve"),
+            ServeError::Config(e) => write!(f, "invalid serve configuration: {e}"),
             ServeError::Bind { addr, source } => write!(f, "cannot bind {addr}: {source}"),
             ServeError::Poller { source } => {
                 write!(f, "cannot create a readiness poller: {source}")
@@ -229,18 +229,8 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// A validating builder over the same fields. The plain-struct path
-    /// (struct literal over [`ServeConfig::default`]) keeps compiling;
-    /// the builder is for call sites that want the invariants checked
-    /// before a socket is ever bound.
-    pub fn builder() -> ServeConfigBuilder {
-        ServeConfigBuilder {
-            cfg: ServeConfig::default(),
-        }
-    }
-
-    /// The invariant checks behind [`ServeConfigBuilder::build`],
-    /// callable on a hand-assembled config too.
+    /// Checks the invariants a server relies on; [`Server::start`] runs
+    /// it before binding anything.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.ssh_port.is_none() && self.telnet_port.is_none() {
             return Err(ConfigError::NoListeners);
@@ -312,136 +302,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Builder returned by [`ServeConfig::builder`]; every setter mirrors a
-/// [`ServeConfig`] field, and [`ServeConfigBuilder::build`] runs the
-/// invariant checks.
-#[derive(Debug, Clone)]
-pub struct ServeConfigBuilder {
-    cfg: ServeConfig,
-}
-
-impl ServeConfigBuilder {
-    /// Address to bind listeners on.
-    pub fn bind(mut self, bind: IpAddr) -> Self {
-        self.cfg.bind = bind;
-        self
-    }
-
-    /// SSH listener port (`None` disables, `0` is ephemeral).
-    pub fn ssh_port(mut self, port: impl Into<Option<u16>>) -> Self {
-        self.cfg.ssh_port = port.into();
-        self
-    }
-
-    /// Telnet listener port.
-    pub fn telnet_port(mut self, port: impl Into<Option<u16>>) -> Self {
-        self.cfg.telnet_port = port.into();
-        self
-    }
-
-    /// Observability HTTP port.
-    pub fn http_port(mut self, port: impl Into<Option<u16>>) -> Self {
-        self.cfg.http_port = port.into();
-        self
-    }
-
-    /// Spill store directory.
-    pub fn store_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cfg.store_dir = Some(dir.into());
-        self
-    }
-
-    /// Worker shard count.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.cfg.workers = n;
-        self
-    }
-
-    /// Global concurrent-connection cap.
-    pub fn max_connections(mut self, n: usize) -> Self {
-        self.cfg.max_connections = n;
-        self
-    }
-
-    /// Per-IP concurrent-connection limit.
-    pub fn per_ip_limit(mut self, n: usize) -> Self {
-        self.cfg.per_ip_limit = n;
-        self
-    }
-
-    /// Idle timeout.
-    pub fn idle_timeout(mut self, t: Duration) -> Self {
-        self.cfg.idle_timeout = t;
-        self
-    }
-
-    /// Total-session ceiling.
-    pub fn session_timeout(mut self, t: Duration) -> Self {
-        self.cfg.session_timeout = t;
-        self
-    }
-
-    /// Shutdown drain window.
-    pub fn drain_timeout(mut self, t: Duration) -> Self {
-        self.cfg.drain_timeout = t;
-        self
-    }
-
-    /// Stats-line cadence (`None` silences the line).
-    pub fn stats_interval(mut self, t: impl Into<Option<Duration>>) -> Self {
-        self.cfg.stats_interval = t.into();
-        self
-    }
-
-    /// Sensor id stamped into records.
-    pub fn honeypot_id(mut self, id: u16) -> Self {
-        self.cfg.honeypot_id = id;
-        self
-    }
-
-    /// Sensor address stamped into records.
-    pub fn honeypot_ip(mut self, ip: netsim::Ipv4Addr) -> Self {
-        self.cfg.honeypot_ip = ip;
-        self
-    }
-
-    /// Collector retry/fault config.
-    pub fn collector(mut self, c: CollectorConfig) -> Self {
-        self.cfg.collector = c;
-        self
-    }
-
-    /// Rows per sealed segment.
-    pub fn rows_per_segment(mut self, n: usize) -> Self {
-        self.cfg.rows_per_segment = n;
-        self
-    }
-
-    /// WAL fsync policy.
-    pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
-        self.cfg.fsync = policy;
-        self
-    }
-
-    /// Fault injection.
-    pub fn chaos(mut self, chaos: ChaosConfig) -> Self {
-        self.cfg.chaos = chaos;
-        self
-    }
-
-    /// `/api/sessions/recent` tail depth.
-    pub fn recent_tail(mut self, n: usize) -> Self {
-        self.cfg.recent_tail = n;
-        self
-    }
-
-    /// Validates and returns the config.
-    pub fn build(self) -> Result<ServeConfig, ConfigError> {
-        self.cfg.validate()?;
-        Ok(self.cfg)
-    }
-}
 
 /// Live counters, updated lock-free by every thread in the server.
 #[derive(Debug, Default)]
@@ -782,72 +642,83 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_a_valid_config() {
-        let cfg = ServeConfig::builder()
-            .ssh_port(2222)
-            .telnet_port(2323)
-            .http_port(8080)
-            .workers(4)
-            .recent_tail(32)
-            .drain_timeout(Duration::from_secs(5))
-            .session_timeout(Duration::from_secs(60))
-            .build()
-            .expect("valid config");
-        assert_eq!(cfg.ssh_port, Some(2222));
-        assert_eq!(cfg.http_port, Some(8080));
-        assert_eq!(cfg.recent_tail, 32);
+    fn validate_accepts_a_valid_config() {
+        let cfg = ServeConfig {
+            ssh_port: Some(2222),
+            telnet_port: Some(2323),
+            http_port: Some(8080),
+            workers: 4,
+            recent_tail: 32,
+            drain_timeout: Duration::from_secs(5),
+            session_timeout: Duration::from_secs(60),
+            ..ServeConfig::default()
+        };
+        assert_eq!(cfg.validate(), Ok(()));
+        assert_eq!(ServeConfig::default().validate(), Ok(()));
     }
 
     #[test]
-    fn builder_rejects_invalid_configs() {
+    fn validate_rejects_invalid_configs() {
+        let invalid = |cfg: ServeConfig| cfg.validate().unwrap_err();
         assert_eq!(
-            ServeConfig::builder().ssh_port(None).build().unwrap_err(),
+            invalid(ServeConfig {
+                ssh_port: None,
+                ..ServeConfig::default()
+            }),
             ConfigError::NoListeners
         );
         assert_eq!(
-            ServeConfig::builder()
-                .drain_timeout(Duration::from_secs(700))
-                .session_timeout(Duration::from_secs(600))
-                .build()
-                .unwrap_err(),
+            invalid(ServeConfig {
+                drain_timeout: Duration::from_secs(700),
+                session_timeout: Duration::from_secs(600),
+                ..ServeConfig::default()
+            }),
             ConfigError::DrainExceedsSessionTimeout {
                 drain: Duration::from_secs(700),
                 session: Duration::from_secs(600),
             }
         );
         assert_eq!(
-            ServeConfig::builder()
-                .ssh_port(2222)
-                .http_port(2222)
-                .build()
-                .unwrap_err(),
+            invalid(ServeConfig {
+                ssh_port: Some(2222),
+                http_port: Some(2222),
+                ..ServeConfig::default()
+            }),
             ConfigError::DuplicatePort { port: 2222 }
         );
         assert_eq!(
-            ServeConfig::builder()
-                .ssh_port(2222)
-                .workers(0)
-                .build()
-                .unwrap_err(),
+            invalid(ServeConfig {
+                ssh_port: Some(2222),
+                workers: 0,
+                ..ServeConfig::default()
+            }),
             ConfigError::ZeroWorkers { plane: "serve" }
         );
         // Ephemeral ports never collide.
-        assert!(ServeConfig::builder()
-            .ssh_port(0)
-            .telnet_port(0)
-            .http_port(0)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn plain_struct_construction_still_compiles_and_validates() {
-        let cfg = ServeConfig {
+        let ephemeral = ServeConfig {
             ssh_port: Some(0),
+            telnet_port: Some(0),
             http_port: Some(0),
             ..ServeConfig::default()
         };
-        assert!(cfg.validate().is_ok());
+        assert_eq!(ephemeral.validate(), Ok(()));
+    }
+
+    #[test]
+    fn start_rejects_an_invalid_config_before_serving() {
+        let cfg = ServeConfig {
+            workers: 0,
+            stats_interval: None,
+            ..ServeConfig::default()
+        };
+        match Server::start(cfg) {
+            Err(ServeError::Config(ConfigError::ZeroWorkers { plane: "serve" })) => {}
+            Err(e) => panic!("wrong error: {e}"),
+            Ok(handle) => {
+                handle.join().expect("join");
+                panic!("a zero-worker server started");
+            }
+        }
     }
 
     #[test]

@@ -168,9 +168,11 @@ impl ShardCtx {
 pub struct Server;
 
 impl Server {
-    /// Binds listeners, spawns the shard/stats threads, and returns a
-    /// handle. Downloads resolve against [`NullStore`] (every fetch
-    /// 404s), which is what a production honeypot wants.
+    /// Checks the config ([`ServeConfig::validate`], failing with
+    /// [`ServeError::Config`] before anything is bound), binds
+    /// listeners, spawns the shard/stats threads, and returns a handle.
+    /// Downloads resolve against [`NullStore`] (every fetch 404s), which
+    /// is what a production honeypot wants.
     pub fn start(cfg: ServeConfig) -> Result<ServerHandle, ServeError> {
         Self::start_with_store(cfg, Arc::new(NullStore))
     }
@@ -181,9 +183,7 @@ impl Server {
         cfg: ServeConfig,
         remote: SharedStore,
     ) -> Result<ServerHandle, ServeError> {
-        if cfg.ssh_port.is_none() && cfg.telnet_port.is_none() {
-            return Err(ServeError::NoListeners);
-        }
+        cfg.validate().map_err(ServeError::Config)?;
         // The aggregator's poller, made first: a host without a
         // readiness API has nothing to serve with.
         let poller = Poller::new().map_err(|source| ServeError::Poller { source })?;
@@ -265,14 +265,13 @@ impl Server {
             chaos: cfg.chaos,
             agg_tx: aggregator.tx.clone(),
         };
-        let workers = cfg.workers.max(1);
         let shard_panics: Arc<parking_lot::Mutex<Vec<String>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
         let supervisor = {
             let panics = Arc::clone(&shard_panics);
             std::thread::Builder::new()
                 .name("shard-supervisor".into())
-                .spawn(move || supervisor_loop(ctx, workers, listeners, &panics))
+                .spawn(move || supervisor_loop(ctx, cfg.workers, listeners, &panics))
                 .expect("spawn shard supervisor")
         };
 

@@ -24,8 +24,8 @@ done
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --all-targets --workspace -- -D warnings
 
-echo "== tier1: cluster bench smoke (equivalence gate, tiny corpus) =="
-cargo bench -p honeylab-bench --bench cluster -- --smoke
+echo "== tier1: bench smoke (all seven targets: asserts and equivalence gates, tiny dataset, one call per id) =="
+cargo bench -p honeylab-bench -- --smoke
 
 echo "== tier1: sessiondb smoke (generate -> analyze) =="
 smoke="$(mktemp -d)/smoke.hsdb"
@@ -163,9 +163,6 @@ if [ "$live_tax" != "$batch_tax" ]; then
     exit 1
 fi
 rm -rf "$bar_dir"
-
-echo "== tier1: serve bench smoke (reactor shards, zero shed) =="
-cargo bench -p honeylab-bench --bench serve -- --smoke
 
 echo "== tier1: honeybench (metric-name drift guard, tiny replay) =="
 cargo test --manifest-path honeybench/Cargo.toml

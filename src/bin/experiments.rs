@@ -229,6 +229,11 @@ fn main() {
     for (k, w, s) in &sweep {
         println!("| k-sweep k={k} | elbow+silhouette → k=90 | WCSS {w:.1}, silhouette {s:.3} |");
     }
+    let wcss: Vec<(usize, f64)> = sweep.iter().map(|&(k, w, _)| (k, w)).collect();
+    println!(
+        "| k-sweep elbow pick | k=90 | k={} |",
+        cluster::select_k_elbow(&wcss)
+    );
     println!();
 
     // ------------------------------------------- cluster engine scaling
@@ -519,7 +524,8 @@ fn main() {
     println!();
     println!(
         "*Regenerate with `cargo run --release --bin experiments -- {scale}`; \
-         figure-by-figure data prints via `cargo bench` or \
-         `cargo run --release --example full_reproduction`.*"
+         figure-by-figure data prints via \
+         `cargo run --release --example full_reproduction`, and \
+         `cargo bench --bench figures` times each artefact.*"
     );
 }

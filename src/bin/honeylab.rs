@@ -38,7 +38,7 @@ use honeylab::core::{report, AnalysisBuilder, AnalysisReport, ReportKind, Sessio
 use honeylab::honeypot::to_cowrie_log;
 use honeylab::prelude::*;
 use honeylab::serve::barrage::{self, BarrageConfig, BarrageReport, LoadMode};
-use honeylab::serve::{signal, ServeConfig, Server};
+use honeylab::serve::{signal, ServeConfig, ServeError, Server};
 use honeylab::sessiondb::{
     is_sessiondb_path, needs_recovery, recover, recovery_preview, FsyncPolicy, Store, StoreWriter,
 };
@@ -628,12 +628,6 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, i32> {
             cfg.chaos.seed
         );
     }
-    // The builder's invariants, applied to the flag-assembled config:
-    // bad combinations die here, before any socket is bound.
-    if let Err(e) = cfg.validate() {
-        eprintln!("invalid serve configuration: {e}");
-        return Err(2);
-    }
     Ok(cfg)
 }
 
@@ -646,6 +640,11 @@ fn cmd_serve(args: &[String]) -> i32 {
     signal::install();
     let handle = match Server::start(cfg) {
         Ok(h) => h,
+        // Bad flag combinations die here, before any socket is bound.
+        Err(e @ ServeError::Config(_)) => {
+            eprintln!("{e}");
+            return 2;
+        }
         Err(e) => {
             eprintln!("error starting server: {e}");
             return 1;

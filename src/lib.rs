@@ -22,9 +22,9 @@
 //! assert!(stats.ordering_matches_paper());
 //! ```
 //!
-//! See `examples/` for end-to-end reproductions of individual figures and
-//! the `honeylab-bench` crate for the criterion harness that regenerates
-//! every evaluation artefact.
+//! See `examples/` for end-to-end reproductions of individual figures, the
+//! `experiments` binary for every artefact against the paper's numbers,
+//! and the `honeylab-bench` crate for the benchmark targets that time them.
 //!
 //! ## Crate map
 //!

@@ -293,3 +293,24 @@ fn analyze_rejects_removed_report_aliases() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown analyze option '--taxonomy'"), "{err}");
 }
+
+#[test]
+fn serve_rejects_an_invalid_config() {
+    // Stdin is closed, so a server that wrongly started would drain and
+    // exit 0 rather than hang the test.
+    for flags in [
+        ["--ssh-port", "0", "--workers", "0"],
+        ["--ssh-port", "2400", "--http-port", "2400"],
+    ] {
+        let out = honeylab()
+            .arg("serve")
+            .args(flags)
+            .stdin(Stdio::null())
+            .output()
+            .expect("binary runs");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("invalid serve configuration"), "{err}");
+        assert!(!err.contains("listening"), "bound before validating: {err}");
+    }
+}
