@@ -34,6 +34,15 @@
 //! were dropped or quarantined along the way. A batch holds the lock for
 //! its whole flush, so the ids of its stored members form the contiguous
 //! range `ingest_batch` returns.
+//!
+//! # Commits
+//!
+//! Storing a record into a sink ([`SessionSink::append`]) and making it
+//! durable ([`SessionSink::commit`]) are separate steps. `ingest` commits
+//! after its one record; `ingest_batch` commits once after the whole
+//! batch, so a sink that syncs on commit syncs once per batch. A failed
+//! commit does not un-store anything: the records stay appended (never
+//! written twice) and the next commit covers them.
 
 use crate::record::SessionRecord;
 use netsim::faults::{backoff_delay, FailureInjector};
@@ -58,6 +67,14 @@ pub trait SessionSink: Send {
     /// Appends one stored record. The collector has already assigned the
     /// dense `session_id`.
     fn append(&mut self, rec: &SessionRecord) -> Result<(), SinkError>;
+    /// Makes the records appended so far durable, as far as the sink's
+    /// own policy asks (e.g. syncs a write-ahead log). The collector
+    /// calls it once per `ingest` or `ingest_batch` that stored
+    /// anything. After an error the records stay appended and the next
+    /// commit must cover them too. The default does nothing.
+    fn commit(&mut self) -> Result<(), SinkError> {
+        Ok(())
+    }
     /// Flushes and closes the sink (e.g. seals the final segment).
     fn finish(&mut self) -> Result<(), SinkError> {
         Ok(())
@@ -185,6 +202,10 @@ struct Queued {
 struct Inner {
     stored: Vec<SessionRecord>,
     sink: Option<Box<dyn SessionSink>>,
+    /// Records appended to the sink since its last successful commit.
+    uncommitted: Vec<SessionRecord>,
+    /// Why the last commit failed, until a commit succeeds.
+    commit_error: Option<String>,
     last_sink_error: Option<String>,
     retry: VecDeque<Queued>,
     quarantine: Vec<(SessionRecord, ValidationError)>,
@@ -222,11 +243,41 @@ impl Inner {
                     self.last_sink_error = Some(e.to_string());
                     return Err(rec);
                 }
+                self.uncommitted.push(rec);
             }
             None => self.stored.push(rec),
         }
         self.stats.accepted += 1;
         Ok(id)
+    }
+
+    /// Commits the sink if any record awaits a commit. Returns whether
+    /// `uncommitted` is now covered by a successful commit; after a
+    /// failure the records stay there for the next commit to cover.
+    fn commit(&mut self) -> bool {
+        let Some(sink) = &mut self.sink else {
+            return false;
+        };
+        if self.uncommitted.is_empty() {
+            return false;
+        }
+        match sink.commit() {
+            Ok(()) => {
+                self.commit_error = None;
+                true
+            }
+            Err(e) => {
+                self.commit_error = Some(e.to_string());
+                false
+            }
+        }
+    }
+
+    /// Commits, then moves what the commit covered into `committed`.
+    fn commit_into(&mut self, committed: &mut Vec<SessionRecord>) {
+        if self.commit() {
+            committed.append(&mut self.uncommitted);
+        }
     }
 
     /// One retry pass over the queue: each due record is retried once;
@@ -311,6 +362,8 @@ impl Collector {
             inner: Mutex::new(Inner {
                 stored: Vec::new(),
                 sink: None,
+                uncommitted: Vec::new(),
+                commit_error: None,
                 last_sink_error: None,
                 retry: VecDeque::new(),
                 quarantine: Vec::new(),
@@ -333,32 +386,47 @@ impl Collector {
         c
     }
 
-    /// Ingests one closed session. On the fault-free default config this
-    /// always stores immediately and returns
-    /// [`IngestOutcome::Stored`] with the assigned dense id.
+    /// Ingests one closed session and commits the sink. On the
+    /// fault-free default config this always stores immediately and
+    /// returns [`IngestOutcome::Stored`] with the assigned dense id.
     pub fn ingest(&self, rec: SessionRecord) -> IngestOutcome {
         let mut inner = self.inner.lock();
         inner.flush_retries(self.max_retries);
-        if let Err(e) = validate(&rec) {
-            inner.stats.quarantined += 1;
-            inner.quarantine.push((rec, e));
-            return IngestOutcome::Quarantined;
+        let outcome = match validate(&rec) {
+            Err(e) => {
+                inner.stats.quarantined += 1;
+                inner.quarantine.push((rec, e));
+                IngestOutcome::Quarantined
+            }
+            Ok(()) => inner.submit(rec, self.capacity, self.max_retries),
+        };
+        if inner.commit() {
+            inner.uncommitted.clear();
         }
-        inner.submit(rec, self.capacity, self.max_retries)
+        outcome
     }
 
-    /// Ingests a batch under a single lock acquisition and returns the
-    /// contiguous id range assigned to the batch's *stored* members (see
-    /// the module-level id-density invariant). Deferred, dropped and
-    /// quarantined members are excluded from the range and visible via
-    /// [`Collector::stats`].
+    /// Ingests a batch under a single lock acquisition, commits the sink
+    /// once, and returns the contiguous id range assigned to the batch's
+    /// *stored* members (see the module-level id-density invariant).
+    /// Deferred, dropped and quarantined members are excluded from the
+    /// range and visible via [`Collector::stats`].
+    ///
+    /// Once the commit succeeds, every record it covered is moved into
+    /// `committed`, in id order, for a caller that passes stored records
+    /// on: the batch's stored members, queued records this call's retry
+    /// pass stored, and records an earlier failed commit left
+    /// uncommitted. After a failed commit nothing is moved until a later
+    /// commit succeeds. An in-memory collector keeps its records and
+    /// moves none.
     pub fn ingest_batch(
         &self,
         recs: impl IntoIterator<Item = SessionRecord>,
+        committed: &mut Vec<SessionRecord>,
     ) -> std::ops::Range<u64> {
         let mut inner = self.inner.lock();
         inner.flush_retries(self.max_retries);
-        let first = inner.stored.len() as u64;
+        let first = inner.stats.accepted;
         for rec in recs {
             if let Err(e) = validate(&rec) {
                 inner.stats.quarantined += 1;
@@ -367,7 +435,29 @@ impl Collector {
             }
             inner.submit(rec, self.capacity, self.max_retries);
         }
-        first..inner.stored.len() as u64
+        let stored = first..inner.stats.accepted;
+        inner.commit_into(committed);
+        stored
+    }
+
+    /// Retries every queued record until it is stored or out of
+    /// retries, commits, and moves what the commit covered into
+    /// `committed` as [`Collector::ingest_batch`] does: what
+    /// [`Collector::into_sink_parts`] would store at close, handed over
+    /// first.
+    pub fn drain_into(&self, committed: &mut Vec<SessionRecord>) {
+        let mut inner = self.inner.lock();
+        while !inner.retry.is_empty() {
+            inner.flush_retries(self.max_retries);
+        }
+        inner.commit_into(committed);
+    }
+
+    /// Why the sink's last commit failed, while no later commit has
+    /// succeeded: the records it left uncovered stay appended, in memory
+    /// too, until one does.
+    pub fn commit_error(&self) -> Option<String> {
+        self.inner.lock().commit_error.clone()
     }
 
     /// Number of sessions stored.
@@ -542,7 +632,7 @@ mod tests {
         let c = Collector::new();
         c.ingest(rec(9));
         c.ingest(rec(1));
-        assert_eq!(c.ingest_batch([rec(5), rec(2)]), 2..4);
+        assert_eq!(c.ingest_batch([rec(5), rec(2)], &mut Vec::new()), 2..4);
         let ds = c.into_dataset();
         assert_eq!(ds.len(), 4);
         let hours: Vec<u8> = ds.iter().map(|r| r.start.hour()).collect();
@@ -672,6 +762,109 @@ mod tests {
         let mut ids = seen.lock().clone();
         ids.sort_unstable();
         assert_eq!(ids, (0..stats.accepted).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn ingest_batch_on_a_sink_returns_the_stored_id_range() {
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig::default(),
+            Box::new(TestSink {
+                seen: Arc::clone(&seen),
+                fail_every: None,
+                calls: 0,
+                finished: Arc::new(Mutex::new(false)),
+            }),
+        );
+        c.ingest(rec(1));
+        c.ingest(rec(2));
+        assert_eq!(c.ingest_batch([rec(3), rec(4)], &mut Vec::new()), 2..4);
+        assert_eq!(c.stats().accepted, 4);
+        assert_eq!(*seen.lock(), vec![0, 1, 2, 3]);
+    }
+
+    /// A sink that logs appended ids and fails its first `failing`
+    /// commits.
+    struct FlakyCommitSink {
+        appended: Arc<Mutex<Vec<u64>>>,
+        failing: u32,
+    }
+
+    impl SessionSink for FlakyCommitSink {
+        fn append(&mut self, rec: &SessionRecord) -> Result<(), SinkError> {
+            self.appended.lock().push(rec.session_id);
+            Ok(())
+        }
+
+        fn commit(&mut self) -> Result<(), SinkError> {
+            if self.failing > 0 {
+                self.failing -= 1;
+                return Err("injected sync failure".into());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_commit_never_writes_a_record_twice() {
+        let appended = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig::default(),
+            Box::new(FlakyCommitSink {
+                appended: Arc::clone(&appended),
+                failing: 1,
+            }),
+        );
+        let mut committed = Vec::new();
+        assert_eq!(c.ingest_batch([rec(1), rec(2)], &mut committed), 0..2);
+        assert!(committed.is_empty(), "nothing moves past a failed commit");
+        assert_eq!(c.commit_error().as_deref(), Some("injected sync failure"));
+        assert_eq!(c.ingest_batch([rec(3)], &mut committed), 2..3);
+        assert_eq!(c.commit_error(), None, "a successful commit clears it");
+        let ids: Vec<u64> = committed.iter().map(|r| r.session_id).collect();
+        assert_eq!(ids, vec![0, 1, 2], "the next commit covers all three");
+        assert_eq!(*appended.lock(), vec![0, 1, 2], "each row appended once");
+
+        // The per-record path: the record stays stored, not requeued.
+        let appended = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig::default(),
+            Box::new(FlakyCommitSink {
+                appended: Arc::clone(&appended),
+                failing: 1,
+            }),
+        );
+        assert_eq!(c.ingest(rec(1)), IngestOutcome::Stored(0));
+        assert_eq!(c.ingest(rec(2)), IngestOutcome::Stored(1));
+        let (stats, _) = c.into_sink_parts().expect("sink closes");
+        assert_eq!((stats.accepted, stats.retried), (2, 0));
+        assert_eq!(*appended.lock(), vec![0, 1]);
+    }
+
+    #[test]
+    fn drain_into_hands_over_what_the_retry_queue_stores() {
+        let appended = Arc::new(Mutex::new(Vec::new()));
+        let c = Collector::with_sink(
+            CollectorConfig {
+                flush_failure_rate: 0.5,
+                max_retries: 64,
+                seed: 3,
+                ..CollectorConfig::default()
+            },
+            Box::new(FlakyCommitSink {
+                appended: Arc::clone(&appended),
+                failing: 0,
+            }),
+        );
+        let mut committed = Vec::new();
+        c.ingest_batch((0..20).map(|i| rec(i % 24)), &mut committed);
+        assert!(committed.len() < 20, "some writes were deferred");
+        c.drain_into(&mut committed);
+        let stats = c.stats();
+        assert_eq!(stats.accepted, 20);
+        let ids: Vec<u64> = committed.iter().map(|r| r.session_id).collect();
+        assert_eq!(ids, (0..20).collect::<Vec<u64>>());
+        assert_eq!(*appended.lock(), ids);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //!   ssh listener ────┐   ┌── shard 0 ── accept + admit + pump its own conns
 //!   telnet listener ─┴───┼── shard 1 ── …
 //!   (kernel backlog)     └── shard N-1
-//!                                 │ completed sessions
-//!                                 ├──────────────► honeypot::Collector ── sessiondb store
+//!                                 │ finished records, by move
+//!                                 ▼
+//!                         store writer (10 ms batch, one commit) ── Collector ── sessiondb store
+//!                                 │ stored records, with their ids
 //!                                 ▼
 //!   http listener ──────► aggregator (one poller, 10 ms drain tick) ── /api/*, SSE, stats line
 //! ```
@@ -35,14 +37,16 @@
 //!   [`honeypot::SessionEndReason::Timeout`], exactly like Cowrie's
 //!   3-minute timer.
 //! * **Durable spill** — completed sessions convert to
-//!   [`honeypot::SessionRecord`]s and stream through the hardened
+//!   [`honeypot::SessionRecord`]s that the shards move to one store
+//!   writer thread. It streams them through the hardened
 //!   [`honeypot::Collector`] (retry/backoff/quarantine) into a live
-//!   [`sessiondb`] store, so a server that has been up for a year has a
-//!   store on disk that `honeylab analyze` reads directly.
+//!   [`sessiondb`] store, one batch and one WAL commit per 10 ms, so a
+//!   server that has been up for a year has a store on disk that
+//!   `honeylab analyze` reads directly.
 //! * **Graceful shutdown** — trigger → shards stop accepting and the
 //!   listeners close → shards drain in-flight sessions (bounded by a
-//!   drain timeout) → collector retries flush → the final partial
-//!   segment is sealed.
+//!   drain timeout) → the store writer stores what remains and the
+//!   collector retries flush → the final partial segment is sealed.
 
 pub mod barrage;
 pub mod broadcast;
@@ -53,6 +57,7 @@ pub mod server;
 pub mod signal;
 pub mod sse;
 pub mod stats;
+mod writer;
 
 pub use conn::{LiveHandler, SharedStore};
 pub use server::{fold_peer_ip, ServeReport, Server, ServerHandle};
@@ -77,7 +82,8 @@ pub enum ServeError {
         /// The OS error.
         source: std::io::Error,
     },
-    /// Creating or sealing the sessiondb spill store failed.
+    /// Creating or sealing the sessiondb spill store failed, or its
+    /// commits kept failing until the store writer gave up.
     Store {
         /// Backend error message.
         message: String,
@@ -93,8 +99,10 @@ pub enum ServeError {
         /// The OS error.
         source: std::io::Error,
     },
-    /// A server thread (supervisor or aggregator) panicked; the run's
-    /// data was still sealed, but the process was unhealthy.
+    /// A server thread (supervisor, store writer or aggregator)
+    /// panicked; the run's data was still sealed (or, when the store
+    /// writer died, left in the WAL for recovery), but the process was
+    /// unhealthy.
     ThreadPanicked {
         /// Thread that died.
         thread: String,
@@ -314,7 +322,7 @@ pub struct ServeStats {
     pub shed_per_ip: AtomicU64,
     /// Connections currently being served (gauge).
     pub active: AtomicUsize,
-    /// Sessions completed and handed to the collector.
+    /// Sessions completed and handed to the store writer.
     pub completed: AtomicU64,
     /// Sessions ended by idle/total timeout (subset of `completed`).
     pub timed_out: AtomicU64,

@@ -1,6 +1,6 @@
 //! Server orchestration: listeners, supervised worker shards that accept
-//! their own connections, the stats/observability aggregator that also
-//! serves the HTTP plane, and graceful drain.
+//! their own connections, the store writer, the stats/observability
+//! aggregator that also serves the HTTP plane, and graceful drain.
 //!
 //! # Shards
 //!
@@ -17,6 +17,16 @@
 //! Connections no shard has accepted yet wait in the kernel backlog,
 //! which is re-armed `max_connections` deep.
 //!
+//! # Durable capture
+//!
+//! A shard sends each finished session's record, by move, to the one
+//! `store-writer` thread ([`crate::writer`]) and goes back to its
+//! sockets: no clone, no lock, no disk call. The writer owns the
+//! collector and the store. It gathers records for one drain tick
+//! (10 ms), appends the batch, commits it once (one WAL sync under
+//! `--fsync-every 1`) and only then moves the stored records, with their
+//! ids, on to the aggregator.
+//!
 //! # Crash containment
 //!
 //! Failures are contained at three radii. A single connection's pump
@@ -31,9 +41,13 @@
 //! shard signals as it exits (on return and on unwind alike), so it
 //! wakes only to respawn or to close the listeners at shutdown. The
 //! panic message is reported through [`ServeReport::shard_panics`].
-//! Supervisor/aggregator threads have no respawn layer — a panic there
-//! surfaces as [`ServeError::ThreadPanicked`] from
-//! [`ServerHandle::join`].
+//! Supervisor, store-writer and aggregator threads have no respawn
+//! layer — a panic there surfaces as [`ServeError::ThreadPanicked`] from
+//! [`ServerHandle::join`]. A store writer that dies leaves its WAL for
+//! recovery and raises the shutdown flag as it goes, so the server
+//! drains and stops on its own instead of accepting sessions it can no
+//! longer store; so does a writer whose commits keep failing, which
+//! `join` reports as [`ServeError::Store`].
 //!
 //! # Drain
 //!
@@ -41,16 +55,19 @@
 //! handle on them, as does the supervisor, so the listening sockets
 //! close within one wait tick and new connects are refused. In-flight
 //! sessions keep being pumped for up to `drain_timeout`, then the
-//! stragglers are force-closed and recorded as timed out.
+//! stragglers are force-closed and recorded as timed out. Once the last
+//! shard is gone, the store writer stores, commits and forwards what
+//! remains and hands the collector back for sealing; the aggregator
+//! publishes last.
 
 use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
 use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller, TimerWheel};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
+use crate::writer::{spawn_store_writer, DiscardSink, WriterExit};
 use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
 use honeypot::shell::{NullStore, RemoteStore};
 use honeypot::{
     panic_message, AuthPolicy, Collector, CollectorError, IngestStats, SessionRecord, SessionSink,
-    SinkError,
 };
 use netsim::faults::FailureInjector;
 use sessiondb::{RecoveryReport, StoreOptions, StoreWriter};
@@ -110,23 +127,13 @@ pub fn fold_peer_ip(ip: IpAddr) -> netsim::Ipv4Addr {
     }
 }
 
-/// The collector sink of a server without a store: the collector still
-/// assigns ids and keeps its accounting, but each record is let go the
-/// moment it is accepted, so a storeless server's memory stays flat.
-struct DiscardSink;
-
-impl SessionSink for DiscardSink {
-    fn append(&mut self, _rec: &SessionRecord) -> Result<(), SinkError> {
-        Ok(())
-    }
-}
-
 /// Everything a shard thread needs, cloneable so the supervisor can
 /// hand a fresh copy to a respawned thread.
 #[derive(Clone)]
 struct ShardCtx {
     remote: SharedStore,
-    collector: Arc<Collector>,
+    /// The store writer's intake.
+    store_tx: Sender<SessionRecord>,
     stats: Arc<ServeStats>,
     gate: Arc<Gate>,
     /// Global connection sequence (each SSH connection's cookie/nonce).
@@ -137,30 +144,22 @@ struct ShardCtx {
     session_timeout: Duration,
     drain_timeout: Duration,
     chaos: ChaosConfig,
-    agg_tx: std::sync::mpsc::Sender<AggEvent>,
 }
 
 impl ShardCtx {
-    /// Records a cleanly finished connection: convert, mirror to the
-    /// live aggregator (a clone over mpsc — no locks, no blocking; a
-    /// dead aggregator just fails the send), ingest into the store.
+    /// Records a cleanly finished connection: convert, and move the
+    /// record to the store writer (no lock, no blocking). A writer that
+    /// died has already raised the shutdown flag, so a failed send
+    /// needs no handling here; it surfaces at join.
     fn record_finished(&self, conn: Conn<'_>) {
-        let record = conn.finish(self.sensor, &self.stats);
-        let _ = self
-            .agg_tx
-            .send(AggEvent::Session(Box::new(record.clone())));
-        self.collector.ingest(record);
+        let _ = self.store_tx.send(conn.finish(self.sensor, &self.stats));
     }
 
     /// Records a connection whose pump panicked: plain fields only (the
-    /// machine may be poisoned), same mirror + ingest path.
+    /// machine may be poisoned), same path to the store writer.
     fn record_failed(&self, conn: Conn<'_>) {
         self.stats.panics_caught.fetch_add(1, Ordering::Relaxed);
-        let record = conn.into_failed(self.sensor);
-        let _ = self
-            .agg_tx
-            .send(AggEvent::Session(Box::new(record.clone())));
-        self.collector.ingest(record);
+        let _ = self.store_tx.send(conn.into_failed(self.sensor));
     }
 }
 
@@ -204,7 +203,19 @@ impl Server {
             }
             None => Box::new(DiscardSink),
         };
-        let collector = Arc::new(Collector::with_sink(cfg.collector.clone(), sink));
+        Self::launch(cfg, remote, poller, sink, recovery)
+    }
+
+    /// Binds the listeners and spawns the server's threads over an open
+    /// session sink.
+    fn launch(
+        cfg: ServeConfig,
+        remote: SharedStore,
+        poller: Poller,
+        sink: Box<dyn SessionSink>,
+        recovery: Option<RecoveryReport>,
+    ) -> Result<ServerHandle, ServeError> {
+        let collector = Collector::with_sink(cfg.collector.clone(), sink);
 
         let mut listeners = Vec::new();
         let mut addrs = ListenAddrs::default();
@@ -234,8 +245,8 @@ impl Server {
 
         // The aggregator owns the periodic stderr line, publishes the
         // lock-free snapshots, and serves the HTTP plane from its
-        // poller. Shards feed it cloned records over its channel, which
-        // it drains in batches.
+        // poller. The store writer feeds it stored records over its
+        // channel, which it drains in batches.
         let aggregator = spawn_aggregator(
             Arc::clone(&stats),
             Arc::clone(&shutdown),
@@ -247,10 +258,12 @@ impl Server {
         if let Some(report) = &recovery {
             let _ = aggregator.tx.send(AggEvent::Recovery(report.clone()));
         }
+        let (store_tx, writer) =
+            spawn_store_writer(collector, aggregator.tx.clone(), Arc::clone(&shutdown));
 
         let ctx = ShardCtx {
             remote,
-            collector: Arc::clone(&collector),
+            store_tx,
             stats: Arc::clone(&stats),
             gate: Arc::clone(&gate),
             seq: Arc::new(AtomicU64::new(0)),
@@ -263,7 +276,6 @@ impl Server {
             session_timeout: cfg.session_timeout,
             drain_timeout: cfg.drain_timeout,
             chaos: cfg.chaos,
-            agg_tx: aggregator.tx.clone(),
         };
         let shard_panics: Arc<parking_lot::Mutex<Vec<String>>> =
             Arc::new(parking_lot::Mutex::new(Vec::new()));
@@ -281,7 +293,7 @@ impl Server {
             gate,
             shutdown,
             recovery,
-            collector: Some(collector),
+            writer,
             supervisor: Some(supervisor),
             shard_panics,
             aggregator: Some(aggregator),
@@ -406,7 +418,7 @@ pub struct ServerHandle {
     gate: Arc<Gate>,
     shutdown: Arc<AtomicBool>,
     recovery: Option<RecoveryReport>,
-    collector: Option<Arc<Collector>>,
+    writer: JoinHandle<WriterExit>,
     supervisor: Option<JoinHandle<()>>,
     shard_panics: Arc<parking_lot::Mutex<Vec<String>>>,
     aggregator: Option<AggregatorHandle>,
@@ -452,40 +464,46 @@ impl ServerHandle {
 
     /// Triggers shutdown (idempotent), waits for every thread, seals the
     /// store, and returns the final accounting. A panic in the
-    /// supervisor or aggregator thread surfaces as
-    /// [`ServeError::ThreadPanicked`] — after the store is sealed, so a
-    /// sick run still keeps its data.
+    /// supervisor, store-writer or aggregator thread surfaces as
+    /// [`ServeError::ThreadPanicked`] — after the store is sealed (or,
+    /// when the writer itself died, with its WAL left for recovery), so
+    /// a sick run still keeps its data.
     pub fn join(mut self) -> Result<ServeReport, ServeError> {
         self.trigger_shutdown();
         let mut thread_panic: Option<(String, String)> = None;
-        let mut note_panic = |name: &str, result: std::thread::Result<()>| {
-            if let Err(payload) = result {
-                let message = panic_message(payload.as_ref());
-                if thread_panic.is_none() {
-                    thread_panic = Some((name.to_string(), message));
-                }
+        let mut note_panic = |name: &str, payload: Box<dyn std::any::Any + Send>| {
+            if thread_panic.is_none() {
+                thread_panic = Some((name.to_string(), panic_message(payload.as_ref())));
             }
         };
-        if let Some(t) = self.supervisor.take() {
-            note_panic("shard-supervisor", t.join());
+        if let Some(Err(payload)) = self.supervisor.take().map(JoinHandle::join) {
+            note_panic("shard-supervisor", payload);
         }
-        // All shard senders are gone once the supervisor returns, so
-        // dropping the handle's sender disconnects the aggregator; it
-        // publishes a final snapshot covering every ingested session,
-        // closes the dashboard sockets left open, and exits.
-        if let Some(agg) = self.aggregator.take() {
-            note_panic("serve-aggregator", agg.join());
+        // Every shard sender is gone once the supervisor returns, so the
+        // store writer stores, commits and forwards what remains, then
+        // hands the collector back for sealing.
+        let sealed = match self.writer.join() {
+            Ok(exit) => Some((exit.collector.into_sink_parts(), exit.gave_up)),
+            Err(payload) => {
+                note_panic("store-writer", payload);
+                None
+            }
+        };
+        // With the writer's sender gone, dropping the handle's sender
+        // disconnects the aggregator; it publishes a final snapshot
+        // covering every stored session, closes the dashboard sockets
+        // left open, and exits.
+        if let Some(Err(payload)) = self.aggregator.take().map(AggregatorHandle::join) {
+            note_panic("serve-aggregator", payload);
         }
-        let collector = self.collector.take().expect("join called once");
-        let collector = Collector::try_from_arc(collector).map_err(|e| ServeError::Collector {
-            message: e.to_string(),
-        })?;
-        let (ingest, quarantine) = collector
-            .into_sink_parts()
-            .map_err(|e| map_collector_error(&e))?;
         if let Some((thread, message)) = thread_panic {
             return Err(ServeError::ThreadPanicked { thread, message });
         }
+        let (sealed, gave_up) = sealed.expect("only a panicked writer keeps its collector");
+        if let Some(message) = gave_up {
+            return Err(ServeError::Store { message });
+        }
+        let (ingest, quarantine) = sealed.map_err(|e| map_collector_error(&e))?;
         Ok(ServeReport {
             snapshot: self.stats.snapshot(),
             ingest,
@@ -1047,6 +1065,7 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use honeypot::SinkError;
     use std::net::Ipv6Addr;
 
     #[test]
@@ -1073,6 +1092,71 @@ mod tests {
                 .and_then(hutil::Json::as_i64),
             Some(200)
         );
+    }
+
+    /// A sink whose appends panic, or else whose commits all fail.
+    struct BrokenSink {
+        panic_on_append: bool,
+    }
+
+    impl SessionSink for BrokenSink {
+        fn append(&mut self, _rec: &SessionRecord) -> Result<(), SinkError> {
+            if self.panic_on_append {
+                panic!("injected sink panic");
+            }
+            Ok(())
+        }
+
+        fn commit(&mut self) -> Result<(), SinkError> {
+            Err("injected sync failure".into())
+        }
+    }
+
+    /// Starts a one-shard server over `sink`, opens and closes one SSH
+    /// connection every 20 ms (a writer batch each) until the server
+    /// stops by itself, and returns what `join` reports.
+    fn serve_until_it_stops(sink: BrokenSink) -> Result<ServeReport, ServeError> {
+        let cfg = ServeConfig {
+            workers: 1,
+            stats_interval: None,
+            ..ServeConfig::default()
+        };
+        let poller = Poller::new().expect("poller");
+        let handle =
+            Server::launch(cfg, Arc::new(NullStore), poller, Box::new(sink), None).expect("start");
+        let ssh = handle.addrs().ssh.expect("ssh addr");
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !handle.shutting_down() {
+            assert!(Instant::now() < deadline, "the server kept running");
+            drop(TcpStream::connect(ssh));
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        handle.join()
+    }
+
+    #[test]
+    fn a_store_writer_panic_stops_the_server() {
+        match serve_until_it_stops(BrokenSink {
+            panic_on_append: true,
+        }) {
+            Err(ServeError::ThreadPanicked { thread, message }) => {
+                assert_eq!(thread, "store-writer");
+                assert!(message.contains("injected sink panic"), "{message}");
+            }
+            other => panic!("expected the writer's panic, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn commits_that_keep_failing_stop_the_server() {
+        match serve_until_it_stops(BrokenSink {
+            panic_on_append: false,
+        }) {
+            Err(ServeError::Store { message }) => {
+                assert!(message.contains("injected sync failure"), "{message}");
+            }
+            other => panic!("expected a store error, got {other:?}"),
+        }
     }
 
     #[test]

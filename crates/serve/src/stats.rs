@@ -1,20 +1,21 @@
 //! The live aggregator behind the observability plane.
 //!
-//! One dedicated thread consumes session-close events from the worker
-//! shards (cloned [`SessionRecord`]s over an `mpsc` channel, drained in
-//! batches every 10 ms so no send ever has to wake the receiver), folds
-//! them into the *same* `honeylab-core` accumulators the post-hoc
-//! `analyze` pipeline runs, and periodically publishes an immutable
-//! [`ApiSnapshot`] through
+//! One dedicated thread consumes the sessions the store writer has
+//! stored (batches of [`SessionRecord`]s moved over an `mpsc` channel
+//! with their dense ids, drained every 10 ms so no send ever has to wake
+//! the receiver), folds them into the *same* `honeylab-core`
+//! accumulators the post-hoc `analyze` pipeline runs, and periodically
+//! publishes an immutable [`ApiSnapshot`] through
 //! a [`crate::broadcast::SnapshotCell`]. The same thread serves the
 //! HTTP plane (`http::HttpPlane`): it waits on the plane's poller between
 //! drains, and endpoints render from whatever snapshot is current —
 //! never from the accumulators, a lock, or any serving thread's state.
 //!
 //! Because the taxonomy and credential accumulators are the identical
-//! types `core::AnalysisBuilder` composes, `/api/stats` totals over a
-//! finished run are *equal by construction* to `honeylab analyze` over
-//! the spilled store — the acceptance bar for the live plane.
+//! types `core::AnalysisBuilder` composes, and only stored records reach
+//! them, `/api/stats` totals at every publish are *equal by
+//! construction* to `honeylab analyze` over the rows stored so far — the
+//! acceptance bar for the live plane.
 //!
 //! Windowed rates (1m / 5m / 1h) come from ring buffers of per-bucket
 //! counters: session closes are bucketed by wall-clock second at ingest;
@@ -47,16 +48,16 @@ pub const TOP_CREDENTIALS: usize = 10;
 pub const PUBLISH_TICK: Duration = Duration::from_millis(250);
 
 /// Longest the aggregator waits on its poller between passes over its
-/// channel.
-const DRAIN_TICK: Duration = Duration::from_millis(10);
+/// channel, and the store writer's batching window.
+pub(crate) const DRAIN_TICK: Duration = Duration::from_millis(10);
 
 /// Events the serving layer feeds the aggregator. Senders are cheap
 /// clones of one `mpsc::Sender`; a dead aggregator (channel closed) is
-/// invisible to shards — sends just fail silently.
+/// invisible to the store writer — sends just fail silently.
 pub enum AggEvent {
-    /// A session completed and was handed to the collector; this is a
-    /// clone of the very record the store will hold.
-    Session(Box<SessionRecord>),
+    /// Sessions the store writer stored with one commit (synced first
+    /// when the fsync policy asks), moved here with their dense ids.
+    Sessions(Vec<SessionRecord>),
     /// Crash recovery ran while opening the spill store.
     Recovery(RecoveryReport),
 }
@@ -662,8 +663,8 @@ impl AggregatorState {
 
 /// Handle to a running aggregator thread.
 pub struct AggregatorHandle {
-    /// Event intake; clone one per shard. Dropping every sender stops
-    /// the thread (after a final publish).
+    /// Event intake; the store writer holds a clone. Dropping every
+    /// sender stops the thread (after a final publish).
     pub tx: Sender<AggEvent>,
     /// The snapshot cell the HTTP plane renders from.
     pub cell: Arc<SnapshotCell<ApiSnapshot>>,
@@ -754,21 +755,23 @@ fn aggregator_loop(
         // is a plain sleep), then answer the ready sockets.
         plane.wait(DRAIN_TICK);
         plane.serve_ready();
-        // Drain whatever the shards queued since the last pass. The
-        // receiver never blocks, so a shard's send never has to wake it.
+        // Drain whatever the store writer queued since the last pass.
+        // The receiver never blocks, so a send never has to wake it.
         let mut framed = false;
         let disconnected = loop {
             match rx.try_recv() {
-                Ok(AggEvent::Session(rec)) => {
-                    let summary = state.push_session(&rec);
-                    // Frames go to subscribers registered when the
-                    // session is folded; with none, skip the rendering.
-                    if bus.subscribers() > 0 {
-                        bus.publish(crate::sse::frame(
-                            "session",
-                            &session_event_json(&summary).render(),
-                        ));
-                        framed = true;
+                Ok(AggEvent::Sessions(recs)) => {
+                    for rec in &recs {
+                        let summary = state.push_session(rec);
+                        // Frames go to subscribers registered when the
+                        // session is folded; with none, skip rendering.
+                        if bus.subscribers() > 0 {
+                            bus.publish(crate::sse::frame(
+                                "session",
+                                &session_event_json(&summary).render(),
+                            ));
+                            framed = true;
+                        }
                     }
                 }
                 Ok(AggEvent::Recovery(report)) => {
@@ -985,7 +988,7 @@ mod tests {
         let sub = handle.bus.subscribe();
         handle
             .tx
-            .send(AggEvent::Session(Box::new(sample_record(7, now_unix()))))
+            .send(AggEvent::Sessions(vec![sample_record(7, now_unix())]))
             .unwrap();
         // The final publish on disconnect folds the session in.
         let cell = Arc::clone(&handle.cell);
@@ -1012,7 +1015,7 @@ mod tests {
         let send = |id: u64| {
             handle
                 .tx
-                .send(AggEvent::Session(Box::new(sample_record(id, now_unix()))))
+                .send(AggEvent::Sessions(vec![sample_record(id, now_unix())]))
                 .unwrap();
         };
         for id in 1..=3 {

@@ -187,6 +187,61 @@ fn api_stats_equal_post_hoc_analysis_over_the_store() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Live sessions carry the ids the store gave them: the records reach
+/// the aggregator only once stored, so `/api/sessions/recent` lists
+/// each stored id once.
+#[test]
+fn recent_sessions_carry_their_store_ids() {
+    let dir = temp_store("recent-ids");
+    let cfg = ServeConfig {
+        store_dir: Some(dir.clone()),
+        workers: 2,
+        http_port: Some(0),
+        stats_interval: None,
+        ..ServeConfig::default()
+    };
+    let handle = Server::start(cfg).expect("start");
+    let ssh = handle.addrs().ssh.expect("ssh addr");
+    let http = handle.addrs().http.expect("http addr");
+
+    let n = 5u64;
+    for i in 0..n {
+        drive_ssh(
+            ssh,
+            ClientScript::new("root", &["admin"], &[&format!("echo id-{i}")]),
+        );
+    }
+    wait_for_sessions(&handle, n);
+    let (status, body) = http_get(http, "/api/sessions/recent");
+    assert_eq!(status, 200);
+    let doc = hutil::Json::parse(&body).expect("recent is JSON");
+    let mut live: Vec<i64> = doc
+        .get("data")
+        .and_then(|d| d.get("sessions"))
+        .and_then(hutil::Json::as_array)
+        .expect("a sessions array")
+        .iter()
+        .map(|s| {
+            s.get("session_id")
+                .and_then(hutil::Json::as_i64)
+                .expect("numeric session_id")
+        })
+        .collect();
+    live.sort_unstable();
+    handle.join().expect("join");
+
+    let store = sessiondb::Store::open(&dir).expect("open sealed store");
+    let mut stored: Vec<i64> = store
+        .scan()
+        .records()
+        .map(|r| r.expect("intact CRCs").session_id as i64)
+        .collect();
+    stored.sort_unstable();
+    assert_eq!(live, stored, "live ids are the store's ids, each once");
+    assert_eq!(stored, (0..n as i64).collect::<Vec<_>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn sse_feed_streams_one_frame_per_session() {
     let cfg = ServeConfig {

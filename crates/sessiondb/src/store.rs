@@ -236,7 +236,8 @@ fn recover_impl(dir: &Path, apply: bool) -> Result<RecoveryReport, SessionDbErro
 ///
 /// Implements [`honeypot::SessionSink`], so it can sit behind a
 /// `Collector::with_sink` and receive records through the collector's
-/// retry/quarantine machinery. Call [`StoreWriter::finish`] (or let the
+/// retry/quarantine machinery; the collector's commit is
+/// [`StoreWriter::commit`]. Call [`StoreWriter::finish`] (or let the
 /// collector's `into_sink_parts` call `SessionSink::finish`) to seal the
 /// final partial segment.
 pub struct StoreWriter {
@@ -255,10 +256,11 @@ pub struct StoreOptions {
     /// Rows per sealed segment.
     pub rows_per_segment: usize,
     /// `Some(policy)` enables the write-ahead log: every appended record
-    /// hits the log before the in-memory segment buffer, so a crash
-    /// loses at most the configured fsync window. `None` (the batch
-    /// default) keeps the seed behavior — unsealed rows live only in
-    /// memory.
+    /// hits the log before the in-memory segment buffer, and each
+    /// [`StoreWriter::commit`] syncs the log as the policy asks, so a
+    /// crash loses at most the configured fsync window. `None` (the
+    /// batch default) keeps the seed behavior — unsealed rows live only
+    /// in memory.
     pub wal: Option<FsyncPolicy>,
 }
 
@@ -342,8 +344,9 @@ impl StoreWriter {
     }
 
     /// Appends one record, sealing the current segment if it is full.
-    /// With a WAL enabled, the record is logged (durably, per the fsync
-    /// policy) before it enters the in-memory segment buffer.
+    /// With a WAL enabled, the record is logged before it enters the
+    /// in-memory segment buffer; it is durable once its segment seals or
+    /// a [`StoreWriter::commit`] syncs the log.
     pub fn append(&mut self, rec: &SessionRecord) -> Result<(), SessionDbError> {
         if self.current.is_none() {
             let path = self.segment_path(self.next_segment);
@@ -377,6 +380,17 @@ impl StoreWriter {
         Ok(())
     }
 
+    /// Syncs the WAL if its fsync policy is due (see
+    /// [`crate::FsyncPolicy`]); a writer without a WAL has nothing to
+    /// sync. Call it once per batch of appends: a failed sync keeps the
+    /// rows appended, and the next commit retries it.
+    pub fn commit(&mut self) -> Result<(), SessionDbError> {
+        match &mut self.wal {
+            Some(wal) => wal.commit(),
+            None => Ok(()),
+        }
+    }
+
     /// Rows appended so far (including the unsealed tail).
     pub fn rows(&self) -> u64 {
         self.total_rows
@@ -402,6 +416,10 @@ impl StoreWriter {
 impl SessionSink for StoreWriter {
     fn append(&mut self, rec: &SessionRecord) -> Result<(), SinkError> {
         StoreWriter::append(self, rec).map_err(|e| Box::new(e) as SinkError)
+    }
+
+    fn commit(&mut self) -> Result<(), SinkError> {
+        StoreWriter::commit(self).map_err(|e| Box::new(e) as SinkError)
     }
 
     fn finish(&mut self) -> Result<(), SinkError> {

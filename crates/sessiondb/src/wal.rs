@@ -55,16 +55,20 @@ pub const WAL_HEADER_LEN: usize = 20;
 
 /// How often the WAL forces its appended frames to stable storage.
 ///
-/// The policy bounds what a *power loss* can take: with `EveryN(n)`, at
-/// most the last `n - 1` acknowledged sessions plus the one in flight.
-/// A plain process kill (SIGKILL, OOM) loses nothing regardless of
-/// policy — written bytes survive in the page cache.
+/// The policy is applied by [`WalWriter::commit`], once per commit and
+/// not per frame: a commit syncs when at least `n` frames are unsynced,
+/// so at most `n - 1` committed frames are ever unsynced. That bounds
+/// what a *power loss* can take: with `EveryN(n)`, at most the last
+/// `n - 1` acknowledged sessions plus the batch in flight. A plain
+/// process kill (SIGKILL, OOM) loses nothing regardless of policy —
+/// written bytes survive in the page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// Never fsync; the OS flushes when it pleases.
     Never,
-    /// Fsync after every `n`-th appended record (`EveryN(1)` = every
-    /// record). The contained value is never 0.
+    /// Fsync at a commit once `n` or more appended records are unsynced
+    /// (`EveryN(1)` = every commit that appended anything). The
+    /// contained value is never 0.
     EveryN(u32),
 }
 
@@ -77,6 +81,12 @@ impl FsyncPolicy {
         } else {
             FsyncPolicy::EveryN(n)
         }
+    }
+
+    /// Whether a commit must sync with `unsynced` frames appended since
+    /// the last sync.
+    pub fn due(self, unsynced: u32) -> bool {
+        matches!(self, FsyncPolicy::EveryN(n) if unsynced >= n)
     }
 }
 
@@ -312,7 +322,8 @@ impl WalWriter {
         })
     }
 
-    /// Appends one record frame, fsyncing per the configured policy.
+    /// Appends one record frame. It is not synced here: a
+    /// [`WalWriter::commit`] (or [`WalWriter::sync`]) makes it durable.
     pub fn append(&mut self, rec: &SessionRecord) -> Result<(), SessionDbError> {
         let payload = encode_record(rec);
         let mut frame = Vec::with_capacity(payload.len() + 8);
@@ -322,11 +333,17 @@ impl WalWriter {
         self.file
             .write_all(&frame)
             .map_err(|e| SessionDbError::io(&self.path, e))?;
-        if let FsyncPolicy::EveryN(n) = self.policy {
-            self.unsynced += 1;
-            if self.unsynced >= n {
-                self.sync()?;
-            }
+        self.unsynced = self.unsynced.saturating_add(1);
+        Ok(())
+    }
+
+    /// Applies the fsync policy to the frames appended so far: syncs
+    /// when [`FsyncPolicy::due`] says so. A failed sync leaves the
+    /// frames counted as unsynced, so the next commit tries again; the
+    /// frames themselves stay in the file and are never written twice.
+    pub fn commit(&mut self) -> Result<(), SessionDbError> {
+        if self.policy.due(self.unsynced) {
+            self.sync()?;
         }
         Ok(())
     }
@@ -541,6 +558,31 @@ mod tests {
         for (i, r) in replay.rows.iter().enumerate() {
             assert_eq!(*r, rec(i as u64));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn commit_syncs_once_the_policy_is_due() {
+        let dir = tmpdir("commit");
+        let path = dir.join(crate::WAL_FILE);
+        let mut w = WalWriter::create(&path, FsyncPolicy::EveryN(4), 0).unwrap();
+        for i in 0..3 {
+            w.append(&rec(i)).unwrap();
+        }
+        w.commit().unwrap();
+        assert_eq!(w.unsynced, 3, "three frames are under the policy's four");
+        w.append(&rec(3)).unwrap();
+        w.commit().unwrap();
+        assert_eq!(w.unsynced, 0, "the fourth frame makes the commit sync");
+        let mut never = WalWriter::create(&path, FsyncPolicy::Never, 0).unwrap();
+        for i in 0..10 {
+            never.append(&rec(i)).unwrap();
+        }
+        never.commit().unwrap();
+        assert_eq!(never.unsynced, 10, "Never commits without a sync");
+        assert!(FsyncPolicy::EveryN(1).due(1));
+        assert!(!FsyncPolicy::EveryN(1).due(0));
+        assert!(!FsyncPolicy::Never.due(u32::MAX));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -21,6 +21,15 @@ for run in $(seq 1 10); do
         || { echo "live suite failed on run $run"; exit 1; }
 done
 
+echo "== tier1: crash suite, 10 release runs (durability ordering races) =="
+# A session becomes durable on the store writer, not on the shard that
+# served it; the kill points are the oracle for that moment, and one
+# run per commit can miss an ordering race.
+for run in $(seq 1 10); do
+    cargo test -q --release --test crash > /dev/null \
+        || { echo "crash suite failed on run $run"; exit 1; }
+done
+
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --all-targets --workspace -- -D warnings
 

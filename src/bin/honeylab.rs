@@ -22,9 +22,9 @@
 //! honeylab serve --ssh-port 2222 --telnet-port 2323 --store live.hsdb
 //!     Serve the honeypot over real TCP sockets: worker shards accept
 //!     their own connections and drive the sans-IO SSH/telnet machines.
-//!     Completed sessions stream through the collector into a sessiondb
-//!     store. Ctrl-C (or closing stdin) drains in-flight sessions and
-//!     seals the store.
+//!     Completed sessions go to one store writer, which streams them
+//!     through the collector into a sessiondb store. Ctrl-C (or closing
+//!     stdin) drains in-flight sessions and seals the store.
 //!
 //! honeylab classify
 //!     Read command lines from stdin, print the Table 1 category of each.
@@ -91,8 +91,8 @@ fn main() {
                  \x20        [--max-conns N] [--per-ip N]    admission limits (shed at accept time)\n\
                  \x20        [--workers N]                   worker shards (default: CPU count)\n\
                  \x20        [--idle-secs N] [--session-secs N] [--drain-secs N] [--stats-secs N]\n\
-                 \x20        [--fsync-every N]               WAL fsync cadence: 1 = every record (default),\n\
-                 \x20                                        N>1 = every N records, 0 = never (OS page cache only)\n\
+                 \x20        [--fsync-every N]               WAL fsync cadence: 1 = each 10 ms batch before it counts\n\
+                 \x20                                        (default), N>1 = once N rows are unsynced, 0 = never\n\
                  \x20        [--rows-per-segment N]          sessions per sealed store segment\n\
                  \x20        [--chaos-conn-panic F] [--chaos-shard-panic F] [--chaos-flush-fail F] [--chaos-seed N]\n\
                  \x20                                        seeded fault injection (testing only)\n\
@@ -601,7 +601,7 @@ fn serve_config(args: &[String]) -> Result<ServeConfig, i32> {
     }
     if let Some(n) = parse_flag::<u32>(args, "--fsync-every")? {
         // 0 = never fsync: bounded loss (the OS page-cache window) in
-        // exchange for zero fsync stalls on the hot path.
+        // exchange for zero fsync stalls on the store writer.
         cfg.fsync = FsyncPolicy::every(n);
     }
     if let Some(n) = parse_flag::<usize>(args, "--rows-per-segment")? {
@@ -694,7 +694,9 @@ fn cmd_serve(args: &[String]) -> i32 {
             .expect("spawn stdin watcher");
     }
 
-    while !signal::interrupted() && !stdin_closed.load(Ordering::Relaxed) {
+    // The server also stops by itself when its store writer fails.
+    while !signal::interrupted() && !stdin_closed.load(Ordering::Relaxed) && !handle.shutting_down()
+    {
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("shutting down: draining in-flight sessions…");
