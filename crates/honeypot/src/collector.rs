@@ -206,7 +206,8 @@ struct Inner {
     uncommitted: Vec<SessionRecord>,
     /// Why the last commit failed, until a commit succeeds.
     commit_error: Option<String>,
-    last_sink_error: Option<String>,
+    /// Why the last failed append failed, until someone takes it.
+    sink_error: Option<String>,
     retry: VecDeque<Queued>,
     quarantine: Vec<(SessionRecord, ValidationError)>,
     stats: IngestStats,
@@ -240,7 +241,7 @@ impl Inner {
         match &mut self.sink {
             Some(sink) => {
                 if let Err(e) = sink.append(&rec) {
-                    self.last_sink_error = Some(e.to_string());
+                    self.sink_error = Some(e.to_string());
                     return Err(rec);
                 }
                 self.uncommitted.push(rec);
@@ -364,7 +365,7 @@ impl Collector {
                 sink: None,
                 uncommitted: Vec::new(),
                 commit_error: None,
-                last_sink_error: None,
+                sink_error: None,
                 retry: VecDeque::new(),
                 quarantine: Vec::new(),
                 stats: IngestStats::default(),
@@ -458,6 +459,13 @@ impl Collector {
     /// too, until one does.
     pub fn commit_error(&self) -> Option<String> {
         self.inner.lock().commit_error.clone()
+    }
+
+    /// Why the sink's last failed append failed, if one failed since
+    /// the last call; clears it. The record it rejected is in the retry
+    /// queue, which counts it as `retried` or, out of retries, `dropped`.
+    pub fn take_sink_error(&self) -> Option<String> {
+        self.inner.lock().sink_error.take()
     }
 
     /// Number of sessions stored.
@@ -752,6 +760,11 @@ mod tests {
         for i in 0..100 {
             c.ingest(rec((i % 24) as u8));
         }
+        assert_eq!(
+            c.take_sink_error().as_deref(),
+            Some("injected sink failure")
+        );
+        assert_eq!(c.take_sink_error(), None, "taking it clears it");
         let (stats, _) = c.into_sink_parts().expect("sink closes");
         assert!(
             stats.retried > 0,

@@ -21,9 +21,12 @@
 //!   `phil`, making the honeynet fingerprintable.
 //!
 //! Sessions can be driven two ways: the bulk generator calls the shell
-//! emulator directly ([`session`]), while [`wire`] runs the identical
-//! policy over a real `sshwire` dialogue — both produce the same
-//! [`record::SessionRecord`].
+//! emulator directly ([`session`]), while [`wire::WireHandler`] bridges
+//! the identical policy and shell into real `sshwire` and `telwire`
+//! dialogues. Both produce the same [`record::SessionRecord`]. The one
+//! handler and its one record conversion serve live traffic (`serve`)
+//! and the in-memory dialogues ([`wire::run_wire_session`],
+//! [`wire::run_telnet_session`]) alike.
 
 pub mod auth;
 pub mod collector;
@@ -35,7 +38,6 @@ pub mod session;
 pub mod shell;
 pub mod vfs;
 pub mod wire;
-pub mod wire_telnet;
 
 pub use auth::AuthPolicy;
 pub use collector::{
@@ -53,4 +55,3 @@ pub use record::{
 pub use session::{SessionInput, SessionSim};
 pub use shell::{RemoteStore, Shell};
 pub use vfs::Vfs;
-pub use wire_telnet::{run_telnet_session, TelnetSessionMeta};

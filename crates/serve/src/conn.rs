@@ -7,96 +7,25 @@
 //! so hundreds of concurrent sessions multiplex onto a handful of threads.
 
 use crate::{GatePermit, ServeStats};
-use honeypot::shell::{RemoteStore, Shell};
-use honeypot::{
-    AuthPolicy, CommandRecord, LoginAttempt, Protocol, SessionEndReason, SessionRecord,
-};
+use honeypot::shell::RemoteStore;
+use honeypot::wire::{WireHandler, WireSessionMeta};
+use honeypot::{Protocol, SessionEndReason, SessionRecord};
 use hutil::DateTime;
-use sshwire::{AuthOutcome, ServerHandler, SshServer};
+use sshwire::SshServer;
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use telwire::{TelnetHandler, TelnetServer};
+use telwire::TelnetServer;
 
 /// The download store shared by every connection of a server.
 pub type SharedStore = Arc<dyn RemoteStore + Send + Sync>;
 
-/// Bridges the honeypot policy and shell into both wire handler traits, so
-/// the same type serves port 22 and port 23.
-pub struct LiveHandler<'s> {
-    policy: AuthPolicy,
-    store: &'s dyn RemoteStore,
-    /// Built on the session's first command: most sessions never run
-    /// one, and a parked connection should not carry a shell and its
-    /// file system. `Shell::new` is deterministic, so a record cannot
-    /// tell when it was built; boxing keeps it out of every slab slot.
-    shell: Option<Box<Shell<'s>>>,
-    commands: Vec<CommandRecord>,
-}
-
-impl<'s> LiveHandler<'s> {
-    /// New handler; its shell is built on the first command.
-    pub fn new(policy: AuthPolicy, store: &'s dyn RemoteStore) -> Self {
-        Self {
-            policy,
-            store,
-            shell: None,
-            commands: Vec::new(),
-        }
-    }
-
-    fn shell(&mut self) -> &mut Shell<'s> {
-        let store = self.store;
-        self.shell
-            .get_or_insert_with(|| Box::new(Shell::new(store)))
-    }
-}
-
-impl ServerHandler for LiveHandler<'_> {
-    fn auth(&mut self, username: &str, password: Option<&str>) -> AuthOutcome {
-        match password {
-            Some(pw) if self.policy.accept(username, pw) => AuthOutcome::Accept,
-            // The `none` probe is always rejected, like Cowrie.
-            _ => AuthOutcome::Reject,
-        }
-    }
-
-    fn exec(&mut self, command: &str) -> (Vec<u8>, u32) {
-        let outcome = self.shell().exec_line(command);
-        self.commands.push(CommandRecord {
-            input: command.to_string(),
-            known: outcome.known,
-        });
-        let status = if outcome.known { 0 } else { 127 };
-        (outcome.output.into_bytes(), status)
-    }
-}
-
-impl TelnetHandler for LiveHandler<'_> {
-    fn auth(&mut self, username: &str, password: &str) -> bool {
-        self.policy.accept(username, password)
-    }
-
-    fn exec(&mut self, command: &str) -> String {
-        let outcome = self.shell().exec_line(command);
-        self.commands.push(CommandRecord {
-            input: command.to_string(),
-            known: outcome.known,
-        });
-        let mut out = outcome.output;
-        if !out.is_empty() && !out.ends_with('\n') {
-            out.push_str("\r\n");
-        }
-        out
-    }
-}
-
 /// Protocol state machine behind a connection.
 enum Machine<'s> {
-    Ssh(SshServer<LiveHandler<'s>>),
-    Telnet(TelnetServer<LiveHandler<'s>>),
+    Ssh(SshServer<WireHandler<'s>>),
+    Telnet(TelnetServer<WireHandler<'s>>),
 }
 
 /// Why [`Conn::pump`] declared the connection finished.
@@ -143,7 +72,7 @@ impl<'s> Conn<'s> {
         stream: TcpStream,
         permit: GatePermit,
         client_port: u16,
-        handler: LiveHandler<'s>,
+        handler: WireHandler<'s>,
         start_unix: i64,
         conn_seq: u64,
     ) -> Self {
@@ -173,7 +102,7 @@ impl<'s> Conn<'s> {
         stream: TcpStream,
         permit: GatePermit,
         client_port: u16,
-        handler: LiveHandler<'s>,
+        handler: WireHandler<'s>,
         start_unix: i64,
     ) -> Self {
         let server = TelnetServer::new(handler, "svr04");
@@ -379,8 +308,8 @@ impl<'s> Conn<'s> {
         }
     }
 
-    /// Converts the finished connection into a [`SessionRecord`],
-    /// mirroring `honeypot::wire::run_wire_session`'s conversion.
+    /// Converts the finished connection into its [`SessionRecord`]
+    /// through [`WireHandler::into_record`], with wall-clock timing.
     pub fn finish(self, sensor: SensorIdentity, stats: &ServeStats) -> SessionRecord {
         let Conn {
             stream,
@@ -398,66 +327,33 @@ impl<'s> Conn<'s> {
         // must also see the slot free.
         drop(stream);
         drop(permit);
-        let ending = ending.unwrap_or(Ending::Client);
         let elapsed = started.elapsed().as_secs() as i64;
-        let start = DateTime::from_unix(start_unix);
         let end = DateTime::from_unix(start_unix + elapsed.max(0));
-        let end_reason = match ending {
+        let end_reason = match ending.unwrap_or(Ending::Client) {
             Ending::Timeout => {
                 stats.timed_out.fetch_add(1, Ordering::Relaxed);
                 SessionEndReason::Timeout
             }
             Ending::Client | Ending::Error => SessionEndReason::ClientClose,
         };
-        let (protocol, client_version, logins, mut handler) = match machine {
-            Machine::Ssh(server) => {
-                let version = server.peer_version().map(str::to_string);
-                let logins: Vec<LoginAttempt> = server
-                    .auth_log()
-                    .iter()
-                    .map(|(user, pass, ok)| LoginAttempt {
-                        username: user.clone(),
-                        password: pass.clone().unwrap_or_default(),
-                        success: *ok,
-                    })
-                    .collect();
-                (Protocol::Ssh, version, logins, server.into_handler())
-            }
-            Machine::Telnet(server) => {
-                let logins: Vec<LoginAttempt> = server
-                    .auth_log()
-                    .iter()
-                    .map(|(user, pass, ok)| LoginAttempt {
-                        username: user.clone(),
-                        password: pass.clone(),
-                        success: *ok,
-                    })
-                    .collect();
-                (Protocol::Telnet, None, logins, server.into_handler())
-            }
+        let (protocol, client_version, handler) = match machine {
+            Machine::Ssh(server) => (
+                Protocol::Ssh,
+                server.peer_version().map(str::to_string),
+                server.into_handler(),
+            ),
+            Machine::Telnet(server) => (Protocol::Telnet, None, server.into_handler()),
         };
-        let (uris, file_events) = handler
-            .shell
-            .as_mut()
-            .map(|shell| shell.take_observations())
-            .unwrap_or_default();
-        stats.completed.fetch_add(1, Ordering::Release);
-        SessionRecord {
-            session_id: 0, // the collector assigns dense ids
+        let meta = WireSessionMeta {
             honeypot_id: sensor.honeypot_id,
             honeypot_ip: sensor.honeypot_ip,
             client_ip,
             client_port,
-            protocol,
-            start,
-            end,
-            end_reason,
-            client_version,
-            logins,
-            commands: std::mem::take(&mut handler.commands),
-            uris,
-            file_events,
-        }
+            start: DateTime::from_unix(start_unix),
+        };
+        let record = handler.into_record(&meta, protocol, client_version, end, end_reason);
+        stats.completed.fetch_add(1, Ordering::Release);
+        record
     }
 
     /// Converts a connection whose pump *panicked* into a minimal failed
@@ -495,45 +391,4 @@ pub fn now_unix() -> i64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use honeypot::shell::NullStore;
-    use sshwire::{ClientScript, SshClient};
-    use telwire::{TelnetClient, TelnetScript};
-
-    fn ssh_handler<'s>(store: &'s NullStore, commands: &[&str]) -> LiveHandler<'s> {
-        let client = SshClient::new(ClientScript::new("root", &["admin"], commands), vec![7]);
-        let server = SshServer::new(
-            LiveHandler::new(AuthPolicy::default(), store),
-            sshwire::SERVER_VERSION_DEFAULT,
-            [0; 16],
-            vec![1],
-        );
-        let (log, handler) = sshwire::run_dialogue(client, server).expect("ssh dialogue");
-        assert_eq!(log.authenticated_user.as_deref(), Some("root"));
-        handler
-    }
-
-    fn telnet_handler<'s>(store: &'s NullStore, commands: &[&str]) -> LiveHandler<'s> {
-        let client = TelnetClient::new(TelnetScript {
-            logins: vec![("root".into(), "admin".into())],
-            commands: commands.iter().map(|c| c.to_string()).collect(),
-        });
-        let server = TelnetServer::new(LiveHandler::new(AuthPolicy::default(), store), "svr04");
-        let (log, handler) = telwire::run_telnet_dialogue(client, server).expect("telnet dialogue");
-        assert!(log.auth_log.iter().any(|(_, _, ok)| *ok));
-        handler
-    }
-
-    #[test]
-    fn shell_is_built_on_the_first_command() {
-        let store = NullStore;
-        assert!(ssh_handler(&store, &[]).shell.is_none());
-        assert!(ssh_handler(&store, &["uname -a"]).shell.is_some());
-        assert!(telnet_handler(&store, &[]).shell.is_none());
-        assert!(telnet_handler(&store, &["uname -a"]).shell.is_some());
-    }
 }

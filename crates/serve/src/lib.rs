@@ -59,7 +59,7 @@ pub mod sse;
 pub mod stats;
 mod writer;
 
-pub use conn::{LiveHandler, SharedStore};
+pub use conn::SharedStore;
 pub use server::{fold_peer_ip, ServeReport, Server, ServerHandle};
 
 use honeypot::CollectorConfig;

@@ -60,12 +60,13 @@
 //! remains and hands the collector back for sealing; the aggregator
 //! publishes last.
 
-use crate::conn::{now_unix, Conn, LiveHandler, SensorIdentity, SharedStore};
+use crate::conn::{now_unix, Conn, SensorIdentity, SharedStore};
 use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller, TimerWheel};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
 use crate::writer::{spawn_store_writer, DiscardSink, WriterExit};
 use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
 use honeypot::shell::{NullStore, RemoteStore};
+use honeypot::wire::WireHandler;
 use honeypot::{
     panic_message, AuthPolicy, Collector, CollectorError, IngestStats, SessionRecord, SessionSink,
 };
@@ -774,7 +775,7 @@ fn chaos_injectors(
 }
 
 fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn RemoteStore) -> Conn<'s> {
-    let handler = LiveHandler::new(AuthPolicy::default(), remote_ref);
+    let handler = WireHandler::new(AuthPolicy::default(), remote_ref);
     match a.proto {
         Proto::Ssh => Conn::ssh(
             a.stream,

@@ -24,7 +24,9 @@
 //! else to put a finished session. A panic leaves the WAL for recovery.
 //! A commit that keeps failing ([`MAX_FAILED_COMMITS`] in a row, each
 //! reported on stderr) ends the writer too, before the stored sessions no
-//! sync covers pile up in memory.
+//! sync covers pile up in memory. A failed append is reported on stderr
+//! once per batch and ends nothing: the collector's retry queue owns the
+//! record it rejected.
 
 use crate::stats::{AggEvent, DRAIN_TICK};
 use honeypot::{Collector, SessionRecord, SessionSink, SinkError};
@@ -108,6 +110,7 @@ fn store_writer_loop(
         batch.extend(rx.try_iter());
         collector.ingest_batch(batch.drain(..), &mut stored);
         forward(agg, &mut stored);
+        report_append_failure(&collector);
         let Some(error) = collector.commit_error() else {
             failed_commits = 0;
             continue;
@@ -125,9 +128,19 @@ fn store_writer_loop(
     }
     collector.drain_into(&mut stored);
     forward(agg, &mut stored);
+    report_append_failure(&collector);
     WriterExit {
         collector,
         gave_up: None,
+    }
+}
+
+/// Prints why the last batch's last failed append failed, if one did.
+/// The record waits in the collector's retry queue, so this does not
+/// count toward [`MAX_FAILED_COMMITS`].
+fn report_append_failure(collector: &Collector) {
+    if let Some(error) = collector.take_sink_error() {
+        eprintln!("store writer: append failed: {error}");
     }
 }
 
@@ -365,6 +378,31 @@ mod tests {
         assert_eq!(counts.appended, (0..n).collect::<Vec<u64>>());
         assert_eq!((counts.commits, counts.syncs), (MAX_FAILED_COMMITS, 0));
         assert!(counts.forwarded.is_empty(), "no sync covered anything");
+    }
+
+    /// A sink whose first append fails.
+    struct FirstAppendFails(bool);
+
+    impl SessionSink for FirstAppendFails {
+        fn append(&mut self, _rec: &SessionRecord) -> Result<(), SinkError> {
+            if std::mem::take(&mut self.0) {
+                return Err("injected append failure".into());
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failed_append_is_reported_and_retried_but_stops_nothing() {
+        let sink = FirstAppendFails(true);
+        let collector = Collector::with_sink(CollectorConfig::default(), Box::new(sink));
+        let (agg, agg_rx) = mpsc::channel();
+        let collector = run(collector, 3, &agg);
+        assert_eq!(collector.take_sink_error(), None, "the writer took it");
+        let stats = collector.stats();
+        assert_eq!((stats.accepted, stats.retried), (3, 1));
+        let forwarded: Vec<u64> = forwarded_batches(&agg_rx).concat();
+        assert_eq!(forwarded.len(), 3, "the retried record is forwarded too");
     }
 
     #[test]

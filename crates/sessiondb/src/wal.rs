@@ -478,6 +478,7 @@ pub fn replay(path: impl AsRef<Path>) -> Result<WalReplay, SessionDbError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::TestDir;
     use hutil::Date;
 
     fn rec(i: u64) -> SessionRecord {
@@ -522,11 +523,8 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let d = std::env::temp_dir().join(format!("hswal-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&d);
-        std::fs::create_dir_all(&d).unwrap();
-        d
+    fn tmpdir(tag: &str) -> TestDir {
+        TestDir::new(&format!("hswal-{tag}"))
     }
 
     fn write_wal(dir: &Path, n: u64, policy: FsyncPolicy) -> PathBuf {
@@ -558,7 +556,6 @@ mod tests {
         for (i, r) in replay.rows.iter().enumerate() {
             assert_eq!(*r, rec(i as u64));
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -583,7 +580,6 @@ mod tests {
         assert!(FsyncPolicy::EveryN(1).due(1));
         assert!(!FsyncPolicy::EveryN(1).due(0));
         assert!(!FsyncPolicy::Never.due(u32::MAX));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -601,7 +597,6 @@ mod tests {
         assert_eq!(replay.segment_index, 1);
         assert_eq!(replay.rows.len(), 1);
         assert_eq!(replay.rows[0], rec(100));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -612,7 +607,6 @@ mod tests {
         assert!(path.exists());
         w.remove().unwrap();
         assert!(!path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Mirror of the segment truncation sweep: chopping the file at any
@@ -646,7 +640,6 @@ mod tests {
                 Err(e) => panic!("unexpected error at cut {cut}: {e}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Mirror of the segment bit-flip sweep: flipping a bit anywhere in
@@ -680,7 +673,6 @@ mod tests {
                 Err(e) => panic!("unexpected error at offset {off}: {e}"),
             }
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A frame whose length field is inflated past the end of the file
@@ -696,6 +688,5 @@ mod tests {
         let r = replay(&path).unwrap();
         assert!(r.rows.is_empty());
         assert_eq!(r.bytes_lost, (bytes.len() - WAL_HEADER_LEN) as u64);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

