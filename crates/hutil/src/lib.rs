@@ -4,7 +4,9 @@
 //! set, so a handful of small, well-specified primitives live here:
 //!
 //! * [`sha256`] — FIPS 180-4 SHA-256, used to fingerprint files dropped on
-//!   the honeypot (the honeynet stores hashes, never file bodies).
+//!   the honeypot (the honeynet stores hashes, never file bodies) and to
+//!   tag SSH packets; it runs on the x86 SHA extensions where the CPU has
+//!   them.
 //! * [`base64`] — RFC 4648 codec, needed to decode the `mdrfckr` actor's
 //!   base64-encoded payload scripts (paper §9).
 //! * [`crc32`] — IEEE CRC-32, the per-block integrity checksum of the

@@ -1,18 +1,23 @@
 //! One live connection: a non-blocking socket pumped through a sans-IO
 //! protocol state machine, finishing as a [`SessionRecord`].
 //!
-//! A [`Conn`] never blocks: each [`Conn::pump`] call flushes whatever the
-//! state machine has queued, reads whatever the socket has buffered, and
-//! returns. A worker shard owns a set of `Conn`s and pumps them round-robin,
-//! so hundreds of concurrent sessions multiplex onto a handful of threads.
+//! A [`Conn`] never blocks. The reactor shard that owns it pumps it when
+//! the poller reports its socket ready or its deadline fires: the pump
+//! flushes what the machine has queued, reads only if the socket was
+//! reported readable, and stops reading at the first short read, at the
+//! peer's EOF, or once [`crate::reactor::MAX_PENDING_OUT`] bytes wait
+//! unsent. Readiness is level-triggered, so bytes that arrive later are
+//! reported on the next wait, and no read is spent learning that the
+//! socket is empty.
 
+use crate::reactor::{conn_interest, Interest, Outbox};
 use crate::{GatePermit, ServeStats};
 use honeypot::shell::RemoteStore;
 use honeypot::wire::{WireHandler, WireSessionMeta};
 use honeypot::{Protocol, SessionEndReason, SessionRecord};
 use hutil::DateTime;
 use sshwire::SshServer;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -44,7 +49,7 @@ pub struct Conn<'s> {
     stream: TcpStream,
     machine: Machine<'s>,
     /// Bytes produced by the machine, not yet accepted by the socket.
-    pending_out: Vec<u8>,
+    out: Outbox,
     /// Admission slot; dropping the connection — on any path, including
     /// a caught panic — releases it. Held purely for its `Drop`.
     _permit: GatePermit,
@@ -67,7 +72,7 @@ pub struct SensorIdentity {
 
 impl<'s> Conn<'s> {
     /// Wraps an accepted SSH socket. The stream must already be
-    /// non-blocking.
+    /// non-blocking (as [`crate::reactor::accept`] returns it).
     pub fn ssh(
         stream: TcpStream,
         permit: GatePermit,
@@ -126,7 +131,7 @@ impl<'s> Conn<'s> {
         Self {
             stream,
             machine,
-            pending_out: Vec::new(),
+            out: Outbox::default(),
             client_ip: permit.ip(),
             _permit: permit,
             client_port,
@@ -137,14 +142,17 @@ impl<'s> Conn<'s> {
         }
     }
 
-    fn machine_output(&mut self) -> usize {
-        // One copy, straight into pending_out (which may be a pooled
+    fn machine_output(&mut self) {
+        // One copy, straight into the outbox (which may hold a pooled
         // buffer); the machine keeps its queue's allocation, so a pump
         // round allocates nothing.
-        match &mut self.machine {
-            Machine::Ssh(s) => s.drain_output_into(&mut self.pending_out),
-            Machine::Telnet(t) => t.drain_output_into(&mut self.pending_out),
-        }
+        let machine = &mut self.machine;
+        self.out.queue_with(|buf| {
+            match machine {
+                Machine::Ssh(s) => s.drain_output_into(buf),
+                Machine::Telnet(t) => t.drain_output_into(buf),
+            };
+        });
     }
 
     fn machine_input(&mut self, data: &[u8]) -> Result<(), ()> {
@@ -161,27 +169,21 @@ impl<'s> Conn<'s> {
         }
     }
 
-    /// One non-blocking service round: flush queued output, ingest
-    /// available input, check deadlines. Returns `true` once the
-    /// connection is finished and ready for [`Conn::finish`].
-    pub fn pump(
-        &mut self,
-        now: Instant,
-        idle_timeout: Duration,
-        session_timeout: Duration,
-        stats: &ServeStats,
-    ) -> bool {
-        let mut buf = [0u8; 4096];
-        self.pump_buf(&mut buf, now, idle_timeout, session_timeout, stats)
-    }
-
-    /// [`Conn::pump`] with a caller-supplied read buffer, so a reactor
-    /// shard can share one scratch buffer across all its connections
-    /// instead of burning 4 KiB of stack (or a fresh allocation) per
-    /// pump.
-    pub(crate) fn pump_buf(
+    /// One non-blocking service round. Queued output goes to the socket
+    /// first. If the poller reported the socket `readable`, the pump then
+    /// reads into `buf`, feeds the machine and flushes what it answered,
+    /// until a read does not fill `buf` (the socket is drained), the peer
+    /// closes, or the unsent output reaches
+    /// [`crate::reactor::MAX_PENDING_OUT`]. Deadlines are checked last.
+    /// Returns `true` once the connection is finished and ready for
+    /// [`Conn::finish`].
+    ///
+    /// `buf` is the shard's one read buffer, shared by every connection
+    /// it owns.
+    pub(crate) fn pump(
         &mut self,
         buf: &mut [u8],
+        mut readable: bool,
         now: Instant,
         idle_timeout: Duration,
         session_timeout: Duration,
@@ -190,64 +192,49 @@ impl<'s> Conn<'s> {
         if self.ending.is_some() {
             return true;
         }
-        // Loop until neither direction makes progress, so a whole
-        // handshake round-trip completes in one pump when the bytes are
-        // already buffered.
         loop {
-            let mut progress = self.machine_output() > 0;
-
-            // Writer half: drain pending_out into the socket.
-            while !self.pending_out.is_empty() {
-                match self.stream.write(&self.pending_out) {
-                    Ok(0) => {
-                        self.ending = Some(Ending::Error);
-                        return true;
-                    }
-                    Ok(n) => {
-                        self.pending_out.drain(..n);
-                        stats.bytes_out.fetch_add(n as u64, Ordering::Relaxed);
-                        self.last_activity = now;
-                        progress = true;
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        self.ending = Some(Ending::Error);
-                        return true;
-                    }
-                }
+            self.machine_output();
+            let unsent = self.out.unsent();
+            let flushed = self.out.flush(&mut self.stream);
+            let written = unsent - self.out.unsent();
+            if written > 0 {
+                stats.bytes_out.fetch_add(written as u64, Ordering::Relaxed);
+                self.last_activity = now;
             }
-
-            // Reader half: feed whatever the socket has to the machine.
+            if flushed.is_err() {
+                self.ending = Some(Ending::Error);
+                return true;
+            }
+            if !readable || self.out.full() {
+                break;
+            }
             match self.stream.read(&mut *buf) {
                 Ok(0) => {
                     self.ending = Some(Ending::Client);
                     return true;
                 }
                 Ok(n) => {
+                    // A read that leaves room in the buffer took all the
+                    // socket had.
+                    readable = n == buf.len();
                     stats.bytes_in.fetch_add(n as u64, Ordering::Relaxed);
                     self.last_activity = now;
-                    progress = true;
                     if self.machine_input(&buf[..n]).is_err() {
                         stats.wire_errors.fetch_add(1, Ordering::Relaxed);
                         self.ending = Some(Ending::Error);
                         return true;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => readable = false,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
                 Err(_) => {
                     self.ending = Some(Ending::Error);
                     return true;
                 }
             }
-
-            if !progress {
-                break;
-            }
         }
 
-        if self.machine_closed() && self.pending_out.is_empty() {
+        if self.machine_closed() && self.out.unsent() == 0 {
             self.ending = Some(Ending::Client);
             return true;
         }
@@ -265,10 +252,15 @@ impl<'s> Conn<'s> {
         self.client_ip
     }
 
-    /// Whether output is queued for the socket — the reactor arms write
-    /// interest only while this is true.
-    pub(crate) fn wants_write(&self) -> bool {
-        !self.pending_out.is_empty()
+    /// What the poller should report for this connection: writable only
+    /// while output is queued, and not readable while the unsent output
+    /// is at the cap.
+    pub(crate) fn interest(&self) -> Interest {
+        if self.out.full() {
+            Interest::WRITE
+        } else {
+            conn_interest(self.out.unsent() > 0)
+        }
     }
 
     /// The connection's next deadline: whichever of the idle and
@@ -281,18 +273,17 @@ impl<'s> Conn<'s> {
         idle.min(session)
     }
 
-    /// Donates a pooled buffer as the `pending_out` backing store.
-    /// Call right after construction, before any pump.
-    pub(crate) fn adopt_out_buffer(&mut self, mut buf: Vec<u8>) {
-        debug_assert!(self.pending_out.is_empty());
-        buf.clear();
-        self.pending_out = buf;
+    /// Donates a pooled buffer as the outbox's backing store. Call right
+    /// after construction, before any pump.
+    pub(crate) fn adopt_out_buffer(&mut self, buf: Vec<u8>) {
+        debug_assert_eq!(self.out.unsent(), 0);
+        self.out = Outbox::with_buffer(buf);
     }
 
-    /// Reclaims the `pending_out` backing store for the pool. The
-    /// connection must be finished (or about to be dropped).
+    /// Reclaims the outbox's backing store for the pool. The connection
+    /// must be finished (or about to be dropped).
     pub(crate) fn reclaim_out_buffer(&mut self) -> Vec<u8> {
-        std::mem::take(&mut self.pending_out)
+        std::mem::take(&mut self.out).into_buffer()
     }
 
     /// Raw fd for poller registration.
@@ -391,4 +382,187 @@ pub fn now_unix() -> i64 {
         .duration_since(std::time::UNIX_EPOCH)
         .map(|d| d.as_secs() as i64)
         .unwrap_or(0)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::reactor::MAX_PENDING_OUT;
+    use crate::Gate;
+    use honeypot::shell::NullStore;
+    use honeypot::AuthPolicy;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener};
+
+    /// The shard's read buffer size.
+    const READ_BUF: usize = 16 * 1024;
+
+    /// A connected pair on loopback: (client, nonblocking server side).
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (server, _) = listener.accept().unwrap();
+        server.set_nonblocking(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        (client, server)
+    }
+
+    /// Waits until `n` bytes sent by the peer are queued on `server`.
+    fn wait_queued(server: &TcpStream, n: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut peek = vec![0u8; n + 1];
+        while server.peek(&mut peek).unwrap_or(0) < n {
+            assert!(Instant::now() < deadline, "the peer's bytes never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn permit(stats: &Arc<ServeStats>) -> GatePermit {
+        Arc::new(Gate::new(4, 4))
+            .admit(netsim::Ipv4Addr(0x7F00_0001), stats)
+            .expect("admitted")
+    }
+
+    fn ssh<'s>(server: TcpStream, store: &'s NullStore, stats: &Arc<ServeStats>) -> Conn<'s> {
+        let handler = WireHandler::new(AuthPolicy::default(), store);
+        Conn::ssh(server, permit(stats), 40_000, handler, now_unix(), 1)
+    }
+
+    fn telnet<'s>(server: TcpStream, store: &'s NullStore, stats: &Arc<ServeStats>) -> Conn<'s> {
+        let handler = WireHandler::new(AuthPolicy::default(), store);
+        Conn::telnet(server, permit(stats), 40_000, handler, now_unix())
+    }
+
+    fn pump(conn: &mut Conn<'_>, buf: &mut [u8], readable: bool, stats: &ServeStats) -> bool {
+        let long = Duration::from_secs(60);
+        conn.pump(buf, readable, Instant::now(), long, long, stats)
+    }
+
+    #[test]
+    fn the_intake_pump_writes_the_banner_and_reads_nothing() {
+        let (mut client, server) = socket_pair();
+        let early = b"SSH-2.0-early\r\n";
+        client.write_all(early).unwrap();
+        wait_queued(&server, early.len());
+        let (store, stats) = (NullStore, Arc::new(ServeStats::default()));
+        let mut conn = ssh(server, &store, &stats);
+        let mut buf = vec![0u8; READ_BUF];
+
+        assert!(!pump(&mut conn, &mut buf, false, &stats));
+        assert_eq!(stats.bytes_in.load(Ordering::Relaxed), 0, "nothing read");
+        let mut banner = [0u8; 64];
+        let n = client.read(&mut banner).unwrap();
+        assert!(banner[..n].starts_with(b"SSH-2.0-"), "{:?}", &banner[..n]);
+        assert_eq!(stats.bytes_out.load(Ordering::Relaxed), n as u64);
+
+        // The bytes that were already there wait for a readable report.
+        assert!(!pump(&mut conn, &mut buf, true, &stats));
+        assert_eq!(stats.bytes_in.load(Ordering::Relaxed), early.len() as u64);
+    }
+
+    #[test]
+    fn data_then_fin_takes_two_pumps_and_the_second_sees_the_eof() {
+        let (mut client, server) = socket_pair();
+        let hello = b"SSH-2.0-client\r\n";
+        client.write_all(hello).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        wait_queued(&server, hello.len());
+        std::thread::sleep(Duration::from_millis(50)); // the FIN follows
+        let (store, stats) = (NullStore, Arc::new(ServeStats::default()));
+        let mut conn = ssh(server, &store, &stats);
+        let mut buf = vec![0u8; READ_BUF];
+        assert!(!pump(&mut conn, &mut buf, false, &stats), "intake");
+
+        // A short read drains the socket: the pump stops before the EOF.
+        assert!(!pump(&mut conn, &mut buf, true, &stats), "unfinished");
+        assert_eq!(stats.bytes_in.load(Ordering::Relaxed), hello.len() as u64);
+        // The EOF keeps the socket readable, so the poller reports it.
+        let mut poller = crate::reactor::Poller::new().unwrap();
+        poller.register(conn.raw_fd(), 0, Interest::READ).unwrap();
+        let mut events = Vec::new();
+        poller.wait(Duration::from_secs(5), &mut events).unwrap();
+        assert!(events.iter().any(|e| e.readable), "the EOF is reported");
+        assert!(pump(&mut conn, &mut buf, true, &stats), "the EOF ends it");
+        assert_eq!(stats.bytes_in.load(Ordering::Relaxed), hello.len() as u64);
+        assert_eq!(conn.ending, Some(Ending::Client));
+    }
+
+    #[test]
+    fn full_reads_keep_reading_so_one_pump_takes_a_whole_first_flight() {
+        let (mut client, server) = socket_pair();
+        let mut flight = b"root\r\nhunter2\r\necho ".to_vec();
+        flight.resize(298, b'a');
+        flight.extend_from_slice(b"\r\n");
+        assert_eq!(flight.len(), 300);
+        client.write_all(&flight).unwrap();
+        wait_queued(&server, flight.len());
+        let (store, stats) = (NullStore, Arc::new(ServeStats::default()));
+        let mut conn = telnet(server, &store, &stats);
+        let mut buf = [0u8; 16];
+        assert!(!pump(&mut conn, &mut buf, false, &stats), "intake");
+
+        assert!(!pump(&mut conn, &mut buf, true, &stats));
+        assert_eq!(
+            stats.bytes_in.load(Ordering::Relaxed),
+            300,
+            "18 full reads and a short one"
+        );
+    }
+
+    /// What the Telnet machine answers to one `line` after a login.
+    fn telnet_answer(line: &[u8]) -> usize {
+        let store = NullStore;
+        let handler = WireHandler::new(AuthPolicy::default(), &store);
+        let mut machine = TelnetServer::new(handler, "svr04");
+        machine.input(b"root\r\nhunter2\r\n").unwrap();
+        machine.take_output();
+        machine.input(line).unwrap();
+        machine.take_output().len()
+    }
+
+    #[test]
+    fn a_peer_that_pipelines_commands_and_never_reads_holds_at_most_the_cap_plus_one_read() {
+        let mut line = b"echo ".to_vec();
+        line.resize(198, b'x');
+        line.extend_from_slice(b"\r\n");
+        // One read holds at most this many line ends.
+        let one_read = (READ_BUF / line.len() + 2) * telnet_answer(&line);
+
+        let (mut client, server) = socket_pair();
+        let writer = std::thread::spawn(move || {
+            let _ = client.write_all(b"root\r\nhunter2\r\n");
+            for _ in 0..200_000 {
+                if client.write_all(&line).is_err() {
+                    break; // the server side closed: the test is over
+                }
+            }
+            client // held open, never read
+        });
+        let (store, stats) = (NullStore, Arc::new(ServeStats::default()));
+        let mut conn = telnet(server, &store, &stats);
+        let mut buf = vec![0u8; READ_BUF];
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let mut capped = 0;
+        while capped < 50 {
+            assert!(Instant::now() < deadline, "the cap was never reached");
+            assert!(
+                !pump(&mut conn, &mut buf, true, &stats),
+                "the peer is still there"
+            );
+            assert!(
+                conn.out.unsent() <= MAX_PENDING_OUT + one_read,
+                "{} bytes queued for a peer that never reads",
+                conn.out.unsent()
+            );
+            if conn.out.full() {
+                capped += 1;
+                assert_eq!(conn.interest(), Interest::WRITE, "reading has stopped");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        drop(conn);
+        writer.join().unwrap();
+    }
 }

@@ -28,16 +28,15 @@
 //! [`crate::broadcast::SnapshotCell`] — and never touch accumulators,
 //! serving threads, or any lock an accept path could contend on. A
 //! stalled dashboard client therefore costs the honeypot nothing but
-//! one fd and at most [`MAX_PENDING_OUT`] bytes (plus one response or
-//! frame) of queued output.
+//! one fd and at most [`reactor::MAX_PENDING_OUT`] bytes (plus one
+//! response or frame) of queued output.
 
 use crate::broadcast::{EventBus, SnapshotCell, Subscription};
-use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller};
-use crate::server::ACCEPT_BATCH;
+use crate::reactor::{self, conn_interest, sock_fd, Event, Interest, Outbox, Poller};
 use crate::sse;
 use crate::stats::ApiSnapshot;
 use hutil::{api_envelope, Json};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 use std::net::{TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -50,13 +49,6 @@ pub const MAX_REQUEST_BYTES: usize = 8 * 1024;
 /// Concurrent HTTP connections; beyond this, accepts are shed at the
 /// door exactly like the honeypot listeners shed.
 pub const MAX_HTTP_CONNECTIONS: usize = 1024;
-
-/// Unsent output at which a connection stops reading, parsing and
-/// pulling SSE frames until its peer catches up. A peer that pipelines
-/// requests and never reads holds at most this plus one response; a
-/// stalled SSE subscriber loses frames in its bounded subscription
-/// instead (counted in `dropped_frames`).
-pub const MAX_PENDING_OUT: usize = 64 * 1024;
 
 /// Idle timeout for request/keep-alive connections, closing ones that
 /// cannot flush included (SSE streams are exempt — they idle by design
@@ -292,30 +284,6 @@ enum Mode {
     Closing,
 }
 
-/// One connection's queued output. The written prefix is dropped once it
-/// outweighs the rest, so a peer that reads slowly but steadily cannot
-/// grow the buffer past twice what is unsent (amortised O(1) per byte).
-#[derive(Default)]
-struct Outbox {
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl Outbox {
-    /// Bytes queued but not yet written.
-    fn unsent(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn queue(&mut self, bytes: &[u8]) {
-        if self.pos > 0 && self.pos >= self.unsent() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-}
-
 struct HttpConn {
     stream: TcpStream,
     parser: RequestParser,
@@ -345,8 +313,11 @@ impl HttpConn {
 
     /// Whether the connection takes more input, requests or frames: not
     /// once it is closing, and not while its unsent output is at the cap.
+    /// A peer that pipelines requests and never reads holds at most the
+    /// cap plus one response; a stalled SSE subscriber loses frames in
+    /// its bounded subscription instead (counted in `dropped_frames`).
     fn takes_work(&self) -> bool {
-        !matches!(self.mode, Mode::Closing) && self.out.unsent() < MAX_PENDING_OUT
+        !matches!(self.mode, Mode::Closing) && !self.out.full()
     }
 
     /// What the poller should report for this connection.
@@ -360,19 +331,12 @@ impl HttpConn {
 
     /// Pushes buffered output to the socket until it would block.
     fn flush(&mut self) -> std::io::Result<()> {
-        while self.out.unsent() > 0 {
-            match self.stream.write(&self.out.buf[self.out.pos..]) {
-                Ok(0) => return Err(ErrorKind::WriteZero.into()),
-                Ok(n) => {
-                    self.out.pos += n;
-                    self.last_activity = Instant::now();
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
+        let unsent = self.out.unsent();
+        let flushed = self.out.flush(&mut self.stream);
+        if self.out.unsent() < unsent {
+            self.last_activity = Instant::now();
         }
-        Ok(())
+        flushed
     }
 
     /// Answers parsed requests, or moves queued SSE frames to the output,
@@ -600,52 +564,51 @@ impl HttpPlane {
         }
     }
 
+    /// Accepts one connection per listener readiness, as the shards do;
+    /// a backlog that holds more reports the listener again.
     fn accept(&mut self) {
         let Some(listener) = &self.listener else {
             return;
         };
-        for _ in 0..ACCEPT_BATCH {
-            let stream = match listener.accept() {
-                Ok((stream, _peer)) => stream,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        ErrorKind::Interrupted
-                            | ErrorKind::ConnectionAborted
-                            | ErrorKind::ConnectionReset
-                    ) =>
-                {
-                    continue
-                }
-                Err(_) => {
-                    // Descriptor exhaustion and the like: a readable
-                    // listener would spin the poller, so stop watching
-                    // it until the next sweep.
-                    let _ = self.poller.deregister(sock_fd(listener));
-                    self.listening = false;
-                    return;
-                }
-            };
-            if self.live >= MAX_HTTP_CONNECTIONS || stream.set_nonblocking(true).is_err() {
-                continue; // shed at the door
-            }
-            let _ = stream.set_nodelay(true);
-            let i = self.free.pop().unwrap_or_else(|| {
-                self.conns.push(None);
-                self.conns.len() - 1
-            });
-            if self
-                .poller
-                .register(sock_fd(&stream), i as u64, Interest::READ)
-                .is_err()
+        let stream = match reactor::accept(listener) {
+            Ok((stream, _peer)) => stream,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock
+                        | ErrorKind::Interrupted
+                        | ErrorKind::ConnectionAborted
+                        | ErrorKind::ConnectionReset
+                ) =>
             {
-                self.free.push(i);
-                continue;
+                return
             }
-            self.conns[i] = Some(HttpConn::new(stream));
-            self.live += 1;
+            Err(_) => {
+                // Descriptor exhaustion and the like: a readable listener
+                // would spin the poller, so stop watching it until the
+                // next sweep.
+                let _ = self.poller.deregister(sock_fd(listener));
+                self.listening = false;
+                return;
+            }
+        };
+        if self.live >= MAX_HTTP_CONNECTIONS {
+            return; // shed at the door
         }
+        let i = self.free.pop().unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        if self
+            .poller
+            .register(sock_fd(&stream), i as u64, Interest::READ)
+            .is_err()
+        {
+            self.free.push(i);
+            return;
+        }
+        self.conns[i] = Some(HttpConn::new(stream));
+        self.live += 1;
     }
 
     /// Pumps slot `i` and re-arms or closes it. The pump runs under
@@ -670,9 +633,11 @@ impl HttpPlane {
         }
     }
 
+    /// Drops slot `i`'s connection; closing its socket takes it out of
+    /// an epoll set.
     fn close(&mut self, i: usize) {
         if let Some(conn) = self.conns[i].take() {
-            let _ = self.poller.deregister(sock_fd(&conn.stream));
+            self.poller.forget(sock_fd(&conn.stream));
             self.free.push(i);
             self.live -= 1;
         }
@@ -682,6 +647,8 @@ impl HttpPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reactor::MAX_PENDING_OUT;
+    use std::io::Write;
 
     fn parse_all(parser: &mut RequestParser) -> Vec<Request> {
         let mut out = Vec::new();

@@ -1,12 +1,16 @@
 //! Readiness-driven reactor primitives: a dependency-free poller
 //! (epoll on Linux, poll(2) on other unixes) that several shards can
-//! share listening sockets through, and a coarse timer wheel.
+//! share listening sockets through, the one `accept` every listener
+//! goes through, the bounded per-connection outbox, and a coarse
+//! timer wheel.
 //!
 //! Like [`crate::signal`], the OS surface is a tiny hand-declared FFI
 //! shim — no libc crate, no mio. Everything here is allocation-light on
 //! the hot path: `epoll_wait` returns only ready fds, and timers
 //! amortize to O(1) per tick via hashed wheel slots.
 
+use std::io::{self, ErrorKind, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 /// What a registration wants to hear about.
@@ -149,6 +153,10 @@ mod sys {
             self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
         }
 
+        /// Closing a descriptor removes it from every epoll set, so a
+        /// connection about to close needs no `EPOLL_CTL_DEL`.
+        pub fn forget(&mut self, _fd: i32) {}
+
         pub fn wait(&mut self, timeout: super::Duration, out: &mut Vec<Event>) -> io::Result<()> {
             out.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
@@ -288,6 +296,12 @@ mod sys {
             Ok(())
         }
 
+        /// poll(2) watches whatever is in the table, closed or not: a
+        /// connection about to close must leave it.
+        pub fn forget(&mut self, fd: i32) {
+            let _ = self.deregister(fd);
+        }
+
         pub fn wait(&mut self, timeout: super::Duration, out: &mut Vec<Event>) -> io::Result<()> {
             out.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
@@ -351,6 +365,10 @@ mod sys {
             unreachable!("Poller::new never succeeds off unix")
         }
 
+        pub fn forget(&mut self, _fd: i32) {
+            unreachable!("Poller::new never succeeds off unix")
+        }
+
         pub fn wait(&mut self, _timeout: super::Duration, _out: &mut Vec<Event>) -> io::Result<()> {
             unreachable!("Poller::new never succeeds off unix")
         }
@@ -370,6 +388,205 @@ pub fn sock_fd(socket: &impl std::os::unix::io::AsRawFd) -> i32 {
 #[cfg(not(unix))]
 pub fn sock_fd<S>(_socket: &S) -> i32 {
     -1
+}
+
+// ---------------------------------------------------------------------------
+// Listening and accepting. On Linux, `TCP_NODELAY` set on a listener is
+// copied into every socket accepted from it, and `accept4` hands the
+// socket back nonblocking: an accepted connection costs one syscall, not
+// three. Other hosts keep std's `accept` and the two per-socket calls.
+// ---------------------------------------------------------------------------
+
+#[cfg(target_os = "linux")]
+mod listen_sys {
+    use std::io;
+    use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6};
+    use std::net::{TcpListener, TcpStream};
+    use std::os::unix::io::{AsRawFd, FromRawFd};
+
+    const AF_INET: u16 = 2;
+    const AF_INET6: u16 = 10;
+    const IPPROTO_TCP: i32 = 6;
+    const TCP_NODELAY: i32 = 1;
+    const SOCK_NONBLOCK: i32 = 0o4000;
+    const SOCK_CLOEXEC: i32 = 0o200_0000;
+
+    /// The kernel's `struct sockaddr_storage`: 128 bytes, 8-aligned.
+    #[repr(C, align(8))]
+    struct SockaddrStorage([u8; 128]);
+
+    extern "C" {
+        fn accept4(fd: i32, addr: *mut SockaddrStorage, len: *mut u32, flags: i32) -> i32;
+        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+    }
+
+    pub fn prepare(listener: &TcpListener) -> io::Result<()> {
+        listener.set_nonblocking(true)?;
+        let on: i32 = 1;
+        // SAFETY: the descriptor is the listener's own open socket, and
+        // `on` outlives the call, with its size passed as the length.
+        let rc = unsafe {
+            setsockopt(
+                listener.as_raw_fd(),
+                IPPROTO_TCP,
+                TCP_NODELAY,
+                &on,
+                std::mem::size_of::<i32>() as u32,
+            )
+        };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    pub fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        let mut addr = SockaddrStorage([0; 128]);
+        let mut len = std::mem::size_of::<SockaddrStorage>() as u32;
+        // SAFETY: `addr` and `len` are a sockaddr_storage and its size,
+        // both alive for the call; the kernel writes at most `len` bytes.
+        let fd = unsafe {
+            accept4(
+                listener.as_raw_fd(),
+                &mut addr,
+                &mut len,
+                SOCK_NONBLOCK | SOCK_CLOEXEC,
+            )
+        };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // Owned from here: an unparsable address closes the socket.
+        // SAFETY: accept4 just returned this descriptor, open and owned by
+        // nothing else.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        let a = &addr.0;
+        let port = u16::from_be_bytes([a[2], a[3]]);
+        let peer = match u16::from_ne_bytes([a[0], a[1]]) {
+            AF_INET => SocketAddr::V4(SocketAddrV4::new(
+                Ipv4Addr::new(a[4], a[5], a[6], a[7]),
+                port,
+            )),
+            AF_INET6 => {
+                let mut ip = [0u8; 16];
+                ip.copy_from_slice(&a[8..24]);
+                let flowinfo = u32::from_ne_bytes([a[4], a[5], a[6], a[7]]);
+                let scope = u32::from_ne_bytes([a[24], a[25], a[26], a[27]]);
+                SocketAddr::V6(SocketAddrV6::new(Ipv6Addr::from(ip), port, flowinfo, scope))
+            }
+            family => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("accepted a socket of address family {family}"),
+                ))
+            }
+        };
+        Ok((stream, peer))
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+mod listen_sys {
+    use std::io;
+    use std::net::{SocketAddr, TcpListener, TcpStream};
+
+    pub fn prepare(listener: &TcpListener) -> io::Result<()> {
+        listener.set_nonblocking(true)
+    }
+
+    pub fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+        let (stream, peer) = listener.accept()?;
+        stream.set_nonblocking(true)?;
+        let _ = stream.set_nodelay(true);
+        Ok((stream, peer))
+    }
+}
+
+/// Readies a bound listener for [`accept`]: nonblocking, and on Linux
+/// with `TCP_NODELAY`, which every accepted socket inherits.
+pub fn prepare_listener(listener: &TcpListener) -> io::Result<()> {
+    listen_sys::prepare(listener)
+}
+
+/// Accepts one connection from a listener readied by
+/// [`prepare_listener`]. The socket comes back nonblocking, close-on-exec
+/// and with Nagle off, together with its peer's address.
+pub fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
+    listen_sys::accept(listener)
+}
+
+// ---------------------------------------------------------------------------
+// Per-connection output.
+// ---------------------------------------------------------------------------
+
+/// Unsent output at which a connection stops reading (and so stops
+/// feeding its protocol machine, parser or SSE subscription) until its
+/// peer catches up. A peer that sends and never reads holds at most this
+/// plus what one read, request or frame produced.
+pub const MAX_PENDING_OUT: usize = 64 * 1024;
+
+/// One connection's queued output. The written prefix is dropped once it
+/// outweighs the rest, so a peer that reads slowly but steadily cannot
+/// grow the buffer past twice what is unsent (amortised O(1) per byte),
+/// and a partial write moves nothing.
+#[derive(Default)]
+pub(crate) struct Outbox {
+    buf: Vec<u8>,
+    pos: usize,
+}
+
+impl Outbox {
+    /// An empty outbox over a reused allocation.
+    pub(crate) fn with_buffer(mut buf: Vec<u8>) -> Self {
+        buf.clear();
+        Outbox { buf, pos: 0 }
+    }
+
+    /// The backing allocation, for reuse by a later connection.
+    pub(crate) fn into_buffer(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Bytes queued but not yet written.
+    pub(crate) fn unsent(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    /// Whether the unsent output has reached [`MAX_PENDING_OUT`].
+    pub(crate) fn full(&self) -> bool {
+        self.unsent() >= MAX_PENDING_OUT
+    }
+
+    /// Queues `bytes` behind what is still unsent.
+    pub(crate) fn queue(&mut self, bytes: &[u8]) {
+        self.queue_with(|buf| buf.extend_from_slice(bytes));
+    }
+
+    /// Lets `fill` append to the queue in place (a protocol machine
+    /// draining its own output queue straight in).
+    pub(crate) fn queue_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
+        if self.pos > 0 && self.pos >= self.unsent() {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+        }
+        fill(&mut self.buf);
+    }
+
+    /// Writes queued bytes until the socket would block or the queue is
+    /// empty. The bytes written so far stay written on an error; callers
+    /// that count them compare [`Outbox::unsent`] before and after.
+    pub(crate) fn flush(&mut self, socket: &mut impl Write) -> io::Result<()> {
+        while self.unsent() > 0 {
+            match socket.write(&self.buf[self.pos..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -526,6 +743,57 @@ mod tests {
         poller.deregister(fd).unwrap();
         poller.wait(Duration::from_millis(20), &mut events).unwrap();
         assert!(events.is_empty(), "deregistered fd must not report");
+    }
+
+    /// Accepts the one queued connection, waiting for its handshake.
+    #[cfg(unix)]
+    fn accept_queued(listener: &TcpListener) -> (TcpStream, SocketAddr) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            match accept(listener) {
+                Ok(conn) => return conn,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                    assert!(Instant::now() < deadline, "the connect never arrived");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+                Err(e) => panic!("accept failed: {e}"),
+            }
+        }
+    }
+
+    /// A socket from [`accept`] is nonblocking, knows its peer, and has
+    /// Nagle off: on Linux because the listener's `TCP_NODELAY` was
+    /// copied into it, so a kernel that stopped copying it fails here.
+    #[cfg(unix)]
+    #[test]
+    fn accepted_sockets_are_nonblocking_nodelay_and_carry_the_peer_address() {
+        use std::io::Read;
+        for addr in ["127.0.0.1:0", "[::1]:0"] {
+            // A host without IPv6 loopback checks v4 alone.
+            let Ok(listener) = TcpListener::bind(addr) else {
+                assert_ne!(addr, "127.0.0.1:0", "v4 loopback must bind");
+                continue;
+            };
+            prepare_listener(&listener).unwrap();
+            let empty = accept(&listener).unwrap_err();
+            assert_eq!(
+                empty.kind(),
+                ErrorKind::WouldBlock,
+                "{addr}: an empty backlog"
+            );
+
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (mut stream, peer) = accept_queued(&listener);
+            assert_eq!(peer, client.local_addr().unwrap(), "{addr}");
+            assert_eq!(stream.peer_addr().unwrap(), peer, "{addr}");
+            assert!(stream.nodelay().unwrap(), "{addr}: Nagle is back on");
+            let idle = stream.read(&mut [0u8; 16]).unwrap_err();
+            assert_eq!(
+                idle.kind(),
+                ErrorKind::WouldBlock,
+                "{addr}: a blocking socket"
+            );
+        }
     }
 
     /// Two pollers share one listener, as shards do. A connection that

@@ -8,14 +8,16 @@
 //! poll(2) on other unixes) plus a timer wheel, and registers every
 //! listening socket in it beside its own connections. On Linux the
 //! listener registrations are exclusive, so one waiting shard wakes per
-//! incoming connection. That shard accepts, admits and first-pumps the
-//! connection on its own thread: no intake queue, no cross-thread
-//! wakeup. Connections are pumped only when their socket is ready or
-//! their deadline fires. Without a readiness API (non-unix hosts)
-//! [`Server::start`] refuses to serve.
+//! incoming connection. That shard accepts one connection per listener
+//! readiness, admits it and sends its banner on its own thread: no
+//! intake queue, no cross-thread wakeup. Connections are pumped only when
+//! their socket is ready or their deadline fires. Without a readiness
+//! API (non-unix hosts) [`Server::start`] refuses to serve.
 //!
 //! Connections no shard has accepted yet wait in the kernel backlog,
-//! which is re-armed `max_connections` deep.
+//! which is re-armed `max_connections` deep. Readiness is
+//! level-triggered, so a backlog of several connections keeps its
+//! listener reported until it is empty.
 //!
 //! # Durable capture
 //!
@@ -61,7 +63,7 @@
 //! publishes last.
 
 use crate::conn::{now_unix, Conn, SensorIdentity, SharedStore};
-use crate::reactor::{conn_interest, sock_fd, Event, Interest, Poller, TimerWheel};
+use crate::reactor::{self, sock_fd, Event, Interest, Poller, TimerWheel};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
 use crate::writer::{spawn_store_writer, DiscardSink, WriterExit};
 use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
@@ -72,6 +74,7 @@ use honeypot::{
 };
 use netsim::faults::FailureInjector;
 use sessiondb::{RecoveryReport, StoreOptions, StoreWriter};
+use std::io::ErrorKind;
 use std::net::{IpAddr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -302,14 +305,15 @@ impl Server {
     }
 }
 
-/// Binds a nonblocking listener; returns it with its resolved address.
+/// Binds a listener readied for [`reactor::accept`]; returns it with its
+/// resolved address.
 fn bind(addr: SocketAddr) -> Result<(TcpListener, SocketAddr), ServeError> {
     let bind_err = |source| ServeError::Bind {
         addr: addr.to_string(),
         source,
     };
     let socket = TcpListener::bind(addr).map_err(bind_err)?;
-    socket.set_nonblocking(true).map_err(bind_err)?;
+    reactor::prepare_listener(&socket).map_err(bind_err)?;
     let local = socket.local_addr().map_err(bind_err)?;
     Ok((socket, local))
 }
@@ -547,11 +551,6 @@ fn deepen_backlog(listener: &TcpListener, max_connections: usize) {
 #[cfg(not(unix))]
 fn deepen_backlog(_listener: &TcpListener, _max_connections: usize) {}
 
-/// Most connections one readiness event accepts from a listener before
-/// the shard (or the HTTP plane) goes back to its own sockets; the rest
-/// stay in the backlog, and the listener stays readable.
-pub(crate) const ACCEPT_BATCH: usize = 64;
-
 /// Longest accept pause after descriptor exhaustion.
 const MAX_ACCEPT_PAUSE: Duration = Duration::from_millis(200);
 
@@ -599,85 +598,83 @@ impl Acceptor {
         expired
     }
 
-    /// Accepts up to [`ACCEPT_BATCH`] connections from listener `k` and
-    /// hands each to `intake` — counted, admitted, stamped — one at a
-    /// time, with nothing queued in between. Shutdown is checked before
-    /// the batch and after every `accept()`, so a connect that lands once
-    /// shutdown is triggered is closed uncounted. Returns `true` when an
-    /// accept error just paused accepting.
-    fn accept(&mut self, k: usize, ctx: &ShardCtx, mut intake: impl FnMut(Admitted)) -> bool {
+    /// Accepts one connection from listener `k` and hands it to `intake`:
+    /// counted, admitted, stamped. One per readiness event: the poller is
+    /// level-triggered, so a backlog that holds more reports the listener
+    /// again on the next wait, with the shard's own ready sockets served
+    /// in between, and no `accept` is spent finding the backlog empty.
+    /// Shutdown is checked before and after the `accept`, so a connect
+    /// that lands once shutdown is triggered is closed uncounted. Returns
+    /// `true` when an accept error just paused accepting.
+    fn accept(&mut self, k: usize, ctx: &ShardCtx, intake: impl FnOnce(Admitted)) -> bool {
         if self.paused_until.is_some() || ctx.shutdown.load(Ordering::Relaxed) {
             return false;
         }
         let Some(listener) = self.listeners.as_deref().and_then(|l| l.get(k)) else {
             return false;
         };
-        for _ in 0..ACCEPT_BATCH {
-            let (stream, peer) = match listener.socket.accept() {
-                Ok(conn) => conn,
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => {
-                    ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
-                    match e.kind() {
-                        // Per-connection failures (peer vanished between
-                        // SYN and accept): the backlog may hold more.
-                        std::io::ErrorKind::ConnectionAborted
-                        | std::io::ErrorKind::ConnectionReset => continue,
-                        // Resource exhaustion (EMFILE/ENFILE lands here
-                        // as Other/Uncategorized) or anything unexpected:
-                        // hot-spinning accept() cannot help. Pause with a
-                        // capped exponential backoff while in-flight
-                        // connections finish and free fds — without ever
-                        // sleeping the shard, which still has them to pump.
-                        _ => {
-                            self.paused_until = Some(Instant::now() + self.backoff);
-                            self.backoff = (self.backoff * 2).min(MAX_ACCEPT_PAUSE);
-                            return true;
-                        }
+        let (stream, peer) = match reactor::accept(&listener.socket) {
+            Ok(conn) => conn,
+            // Another shard took it, or a signal landed: a backlog that
+            // still holds a connection is reported again.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => {
+                return false
+            }
+            Err(e) => {
+                ctx.stats.accept_errors.fetch_add(1, Ordering::Relaxed);
+                match e.kind() {
+                    // Per-connection failures (peer vanished between SYN
+                    // and accept): the backlog may hold more.
+                    ErrorKind::ConnectionAborted | ErrorKind::ConnectionReset => return false,
+                    // Resource exhaustion (EMFILE/ENFILE lands here as
+                    // Other/Uncategorized) or anything unexpected:
+                    // hot-spinning accept() cannot help. Pause with a
+                    // capped exponential backoff while in-flight
+                    // connections finish and free fds — without ever
+                    // sleeping the shard, which still has them to pump.
+                    _ => {
+                        self.paused_until = Some(Instant::now() + self.backoff);
+                        self.backoff = (self.backoff * 2).min(MAX_ACCEPT_PAUSE);
+                        return true;
                     }
                 }
-            };
-            self.backoff = Duration::from_millis(1);
-            if ctx.shutdown.load(Ordering::Relaxed) {
-                // Shutdown landed mid-batch: close the socket before it
-                // is counted or takes a slot.
+            }
+        };
+        self.backoff = Duration::from_millis(1);
+        if ctx.shutdown.load(Ordering::Relaxed) {
+            // Shutdown landed during the accept: close the socket before
+            // it is counted or takes a slot.
+            return false;
+        }
+        ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
+        let permit = match ctx.gate.admit(fold_peer_ip(peer.ip()), &ctx.stats) {
+            Ok(p) => p,
+            // Shed: dropping the stream closes it before any protocol
+            // state exists.
+            Err(Admission::OverCapacity) => {
+                ctx.stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
                 return false;
             }
-            ctx.stats.accepted.fetch_add(1, Ordering::Relaxed);
-            let permit = match ctx.gate.admit(fold_peer_ip(peer.ip()), &ctx.stats) {
-                Ok(p) => p,
-                // Shed: dropping the stream closes it before any
-                // protocol state exists.
-                Err(Admission::OverCapacity) => {
-                    ctx.stats.shed_capacity.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-                Err(_) => {
-                    ctx.stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
-                    continue;
-                }
-            };
-            if stream.set_nonblocking(true).is_err() {
-                continue; // dropping the permit releases the slot
+            Err(_) => {
+                ctx.stats.shed_per_ip.fetch_add(1, Ordering::Relaxed);
+                return false;
             }
-            let _ = stream.set_nodelay(true);
-            let admitted = Admitted {
-                seq: ctx.seq.fetch_add(1, Ordering::Relaxed),
-                start_unix: now_unix(),
-                stream,
-                permit,
-                client_port: peer.port(),
-                proto: listener.proto,
-            };
-            if self.shard_chaos.fires() {
-                // Outside the per-connection guard: kills the whole
-                // shard thread. `admitted` (and its permit) and every
-                // owned connection release on unwind.
-                panic!("chaos: injected shard panic");
-            }
-            intake(admitted);
+        };
+        let admitted = Admitted {
+            seq: ctx.seq.fetch_add(1, Ordering::Relaxed),
+            start_unix: now_unix(),
+            stream,
+            permit,
+            client_port: peer.port(),
+            proto: listener.proto,
+        };
+        if self.shard_chaos.fires() {
+            // Outside the per-connection guard: kills the whole shard
+            // thread. `admitted` (and its permit) and every owned
+            // connection release on unwind.
+            panic!("chaos: injected shard panic");
         }
+        intake(admitted);
         false
     }
 }
@@ -853,9 +850,9 @@ impl<'s> Reactor<'s> {
     }
 
     /// Places an admitted connection in a slot, registers it with the
-    /// poller and the timer wheel, and gives it its first pump (the SSH
-    /// banner goes out here; a scanner that connects and hangs up may
-    /// finish on this very pump).
+    /// poller and the timer wheel, and gives it its first pump, which
+    /// writes the banner and reads nothing: bytes the peer has already
+    /// sent, or its hangup, are reported on the next wait.
     fn intake(&mut self, mut conn: Conn<'s>, doomed: bool, force_close: bool, ctx: &ShardCtx) {
         if let Some(buf) = self.out_pool.pop() {
             conn.adopt_out_buffer(buf);
@@ -886,7 +883,7 @@ impl<'s> Reactor<'s> {
             armed: Interest::READ,
         });
         self.live += 1;
-        self.pump(i, force_close, Instant::now(), ctx);
+        self.pump(i, false, force_close, Instant::now(), ctx);
         self.schedule(i, ctx);
     }
 
@@ -898,9 +895,10 @@ impl<'s> Reactor<'s> {
         }
     }
 
-    /// Pumps slot `i` under the per-connection guard; records and frees
-    /// the slot if the connection finished (or its pump panicked).
-    fn pump(&mut self, i: usize, force_close: bool, now: Instant, ctx: &ShardCtx) {
+    /// Pumps slot `i` under the per-connection guard, reading only when
+    /// the poller reported it `readable`; records and frees the slot if
+    /// the connection finished (or its pump panicked).
+    fn pump(&mut self, i: usize, readable: bool, force_close: bool, now: Instant, ctx: &ShardCtx) {
         let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
             return; // already finished this tick (e.g. event + timer)
         };
@@ -914,8 +912,9 @@ impl<'s> Reactor<'s> {
                 panic!("chaos: injected connection panic");
             }
             force_close
-                || slot.conn.pump_buf(
+                || slot.conn.pump(
                     read_buf,
+                    readable,
                     now,
                     ctx.idle_timeout,
                     ctx.session_timeout,
@@ -923,9 +922,9 @@ impl<'s> Reactor<'s> {
                 )
         }));
         if let Ok(false) = pumped {
-            // Re-arm write interest only when it changed — kernel
-            // round-trips on interest are not free.
-            let want = conn_interest(slot.conn.wants_write());
+            // Re-arm interest only when it changed — kernel round-trips
+            // on interest are not free.
+            let want = slot.conn.interest();
             if want != slot.armed {
                 let _ = self.poller.reregister(slot.conn.raw_fd(), i as u64, want);
                 slot.armed = want;
@@ -933,7 +932,9 @@ impl<'s> Reactor<'s> {
             return;
         }
         let mut slot = self.slots[i].take().expect("slot checked above");
-        let _ = self.poller.deregister(slot.conn.raw_fd());
+        // Recording the connection closes its socket, which is what takes
+        // it out of an epoll set.
+        self.poller.forget(slot.conn.raw_fd());
         let buf = slot.conn.reclaim_out_buffer();
         if self.out_pool.len() < POOL_CAP && buf.capacity() > 0 && buf.capacity() <= POOL_BUF_MAX {
             self.out_pool.push(buf);
@@ -996,7 +997,7 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
             // timed out).
             let now = Instant::now();
             for i in 0..r.slots.len() {
-                r.pump(i, true, now, ctx);
+                r.pump(i, false, true, now, ctx);
             }
         }
         if r.live == 0 && drain_started.is_some() {
@@ -1024,7 +1025,7 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
         let now = Instant::now();
         for ev in &events {
             if ev.token < LISTENER_TOKEN {
-                r.pump(ev.token as usize, force_close, now, ctx);
+                r.pump(ev.token as usize, ev.readable, force_close, now, ctx);
                 continue;
             }
             let k = (ev.token - LISTENER_TOKEN) as usize;
@@ -1054,7 +1055,7 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
                 // Really expired: the pump's own deadline check marks
                 // it timed out and finishes it; a survivor (activity
                 // raced the deadline) is rescheduled.
-                r.pump(i, force_close, now, ctx);
+                r.pump(i, false, force_close, now, ctx);
                 r.schedule(i, ctx);
             } else {
                 r.wheel.insert(token, gen, deadline);
@@ -1158,6 +1159,102 @@ mod tests {
             }
             other => panic!("expected a store error, got {other:?}"),
         }
+    }
+
+    /// A shard context over `NullStore`, whose finished records arrive
+    /// on the returned receiver.
+    fn test_ctx() -> (ShardCtx, mpsc::Receiver<SessionRecord>) {
+        let (store_tx, records) = mpsc::channel();
+        let stats = Arc::new(ServeStats::default());
+        let ctx = ShardCtx {
+            remote: Arc::new(NullStore),
+            store_tx,
+            stats,
+            gate: Arc::new(Gate::new(1024, 1024)),
+            seq: Arc::new(AtomicU64::new(0)),
+            shutdown: Arc::new(AtomicBool::new(false)),
+            sensor: SensorIdentity {
+                honeypot_id: 0,
+                honeypot_ip: netsim::Ipv4Addr(1),
+            },
+            idle_timeout: Duration::from_secs(30),
+            session_timeout: Duration::from_secs(60),
+            drain_timeout: Duration::from_secs(5),
+            chaos: ChaosConfig::default(),
+        };
+        (ctx, records)
+    }
+
+    /// An SSH listener with `n` connections queued in its backlog, each
+    /// handshake complete, and the clients that made them.
+    fn queued_listener(n: usize) -> (Arc<[Listener]>, Vec<TcpStream>) {
+        let (socket, addr) = bind("127.0.0.1:0".parse().unwrap()).expect("bind");
+        let clients: Vec<TcpStream> = (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect();
+        let listeners: Arc<[Listener]> = vec![Listener {
+            socket,
+            proto: Proto::Ssh,
+        }]
+        .into();
+        // The kernel finishes loopback handshakes on its own time: wait
+        // until a poller sees the backlog.
+        let mut poller = Poller::new().unwrap();
+        poller
+            .register(sock_fd(&listeners[0].socket), 0, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller.wait(Duration::from_secs(5), &mut events).unwrap();
+        assert!(!events.is_empty(), "the backlog never became readable");
+        (listeners, clients)
+    }
+
+    #[test]
+    fn a_listener_readiness_accepts_one_connection() {
+        const N: usize = 8;
+        let (ctx, _records) = test_ctx();
+        let (listeners, _clients) = queued_listener(N);
+        let mut acceptor = Acceptor::new(Arc::clone(&listeners), FailureInjector::new(0.0, 0));
+        let mut taken = 0;
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while taken < N {
+            assert!(Instant::now() < deadline, "{taken} of {N} accepted");
+            assert!(!acceptor.accept(0, &ctx, |_| taken += 1));
+        }
+        assert!(!acceptor.accept(0, &ctx, |_| panic!("the backlog is empty")));
+        assert_eq!(ctx.stats.accepted.load(Ordering::Relaxed), N as u64);
+        assert_eq!(ctx.stats.accept_errors.load(Ordering::Relaxed), 0);
+    }
+
+    /// Connections queued before the shard's first wait are all served,
+    /// although each listener readiness accepts only one of them: the
+    /// level-triggered listener keeps being reported until the backlog
+    /// is empty.
+    #[test]
+    fn a_backlog_queued_before_the_first_wait_is_served_in_full() {
+        use std::io::Read;
+        const N: usize = 48;
+        let (ctx, records) = test_ctx();
+        let (listeners, clients) = queued_listener(N);
+        let shard = {
+            let ctx = ctx.clone();
+            std::thread::spawn(move || shard_loop(0, 0, listeners, &ctx))
+        };
+        for mut client in clients {
+            client
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            let mut banner = [0u8; 8];
+            client.read_exact(&mut banner).expect("a banner");
+            assert_eq!(&banner, b"SSH-2.0-");
+        }
+        for i in 0..N {
+            records
+                .recv_timeout(Duration::from_secs(10))
+                .unwrap_or_else(|_| panic!("only {i} of {N} sessions were recorded"));
+        }
+        ctx.shutdown.store(true, Ordering::Relaxed);
+        shard.join().expect("the shard exits cleanly");
+        assert_eq!(ctx.stats.accepted.load(Ordering::Relaxed), N as u64);
+        assert_eq!(ctx.stats.completed.load(Ordering::Relaxed), N as u64);
     }
 
     #[test]
