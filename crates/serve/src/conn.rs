@@ -2,7 +2,7 @@
 //! protocol state machine, finishing as a [`SessionRecord`].
 //!
 //! A [`Conn`] never blocks. The reactor shard that owns it pumps it when
-//! the poller reports its socket ready or its deadline fires: the pump
+//! the poller reports its socket ready or its deadline passes: the pump
 //! flushes what the machine has queued, reads only if the socket was
 //! reported readable, and stops reading at the first short read, at the
 //! peer's EOF, or once [`crate::reactor::MAX_PENDING_OUT`] bytes wait
@@ -264,9 +264,10 @@ impl<'s> Conn<'s> {
     }
 
     /// The connection's next deadline: whichever of the idle and
-    /// total-session timeouts comes first. The reactor's timer wheel
-    /// re-checks this on fire, so activity pushes the deadline without
-    /// rescheduling.
+    /// total-session timeouts comes first. It only ever moves later
+    /// (activity advances `last_activity`; `started` is fixed), so a value
+    /// read earlier stays a lower bound: the shard keeps one per slot and
+    /// reads this again only once that bound has passed.
     pub(crate) fn deadline(&self, idle_timeout: Duration, session_timeout: Duration) -> Instant {
         let idle = self.last_activity + idle_timeout;
         let session = self.started + session_timeout;

@@ -4,6 +4,9 @@
 //! readiness poller (`HttpPlane`): between drains of its session
 //! channel the aggregator accepts, reads and answers whatever is ready,
 //! and it pumps each SSE stream in the pass that rendered its frames.
+//! A connection reads only when the poller reported it readable, and
+//! stops at the first read that does not fill its buffer, as a shard's
+//! connections do: no read is spent learning that a socket is empty.
 //! No HTTP library — the parser below speaks exactly the subset this
 //! plane serves (`GET`, header block, optional keep-alive/pipelining)
 //! and rejects everything else with a bounded buffer, which is the only
@@ -24,14 +27,14 @@
 //! # Isolation contract
 //!
 //! Handlers render from the [`ApiSnapshot`] most recently published by
-//! the aggregator — acquired through the lock-free
-//! [`crate::broadcast::SnapshotCell`] — and never touch accumulators,
-//! serving threads, or any lock an accept path could contend on. A
+//! the aggregator, which hands it to the plane on its own thread, and
+//! never touch accumulators, serving threads, or any lock an accept
+//! path could contend on. A
 //! stalled dashboard client therefore costs the honeypot nothing but
 //! one fd and at most [`reactor::MAX_PENDING_OUT`] bytes (plus one
 //! response or frame) of queued output.
 
-use crate::broadcast::{EventBus, SnapshotCell, Subscription};
+use crate::broadcast::{EventBus, Subscription};
 use crate::reactor::{self, conn_interest, sock_fd, Event, Interest, Outbox, Poller};
 use crate::sse;
 use crate::stats::ApiSnapshot;
@@ -342,12 +345,12 @@ impl HttpConn {
     /// Answers parsed requests, or moves queued SSE frames to the output,
     /// while the output is under the cap. A stalled subscriber's frames
     /// stay in its bounded subscription, where the excess drops.
-    fn fill(&mut self, cell: &SnapshotCell<ApiSnapshot>, bus: &EventBus) {
+    fn fill(&mut self, snapshot: &ApiSnapshot, bus: &EventBus) {
         while self.takes_work() {
             match &self.mode {
                 Mode::Request => match self.parser.next_request() {
                     Ok(None) => return,
-                    Ok(Some(req)) => match route(&req, &cell.load()) {
+                    Ok(Some(req)) => match route(&req, snapshot) {
                         Routed::Json { status, doc } => {
                             let keep = req.keep_alive && status == 200;
                             self.out.queue(&json_response(status, &doc, keep));
@@ -384,10 +387,18 @@ impl HttpConn {
         }
     }
 
-    /// One readiness pump: answer and read until the socket runs dry,
-    /// the output reaches the cap or the budget is spent, then write.
-    /// `true` = finished, remove the connection.
-    fn pump(&mut self, cell: &SnapshotCell<ApiSnapshot>, bus: &EventBus, draining: bool) -> bool {
+    /// One pump: answer what is parsed and, if the poller reported the
+    /// socket `readable`, read until a read does not fill the buffer (the
+    /// socket is drained), the peer closes, the output reaches the cap or
+    /// the budget is spent; then write. `true` = finished, remove the
+    /// connection.
+    fn pump(
+        &mut self,
+        snapshot: &ApiSnapshot,
+        bus: &EventBus,
+        mut readable: bool,
+        draining: bool,
+    ) -> bool {
         if draining && matches!(self.mode, Mode::Events(_)) {
             // Shutdown ends SSE streams now (flushed or not — the
             // subscriber will reconnect against the next process).
@@ -396,11 +407,14 @@ impl HttpConn {
         let mut buf = [0u8; 4096];
         self.yielded = true;
         for _ in 0..PUMP_BUDGET {
-            self.fill(cell, bus);
-            if self.takes_work() {
+            self.fill(snapshot, bus);
+            if readable && self.takes_work() {
                 match self.stream.read(&mut buf) {
                     Ok(0) => return true, // peer closed
                     Ok(n) => {
+                        // A read that leaves room in the buffer took all
+                        // the socket had.
+                        readable = n == buf.len();
                         self.last_activity = Instant::now();
                         // Bytes on an SSE stream are ignored (clients
                         // send nothing after the request).
@@ -409,7 +423,7 @@ impl HttpConn {
                         }
                         continue;
                     }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => readable = false,
                     Err(e) if e.kind() == ErrorKind::Interrupted => continue,
                     Err(_) => return true,
                 }
@@ -459,17 +473,18 @@ pub(crate) struct HttpPlane {
     free: Vec<usize>,
     live: usize,
     draining: bool,
-    cell: Arc<SnapshotCell<ApiSnapshot>>,
+    /// What requests are answered from: the aggregator's latest publish.
+    snapshot: Arc<ApiSnapshot>,
     bus: Arc<EventBus>,
 }
 
 impl HttpPlane {
-    /// A plane serving `listener` (nonblocking), if any, from `cell` and
-    /// `bus`.
+    /// A plane serving `listener` (nonblocking), if any, from `snapshot`
+    /// until the first [`HttpPlane::sweep`], and streaming from `bus`.
     pub(crate) fn new(
         poller: Poller,
         listener: Option<TcpListener>,
-        cell: Arc<SnapshotCell<ApiSnapshot>>,
+        snapshot: Arc<ApiSnapshot>,
         bus: Arc<EventBus>,
     ) -> Self {
         let mut plane = HttpPlane {
@@ -481,7 +496,7 @@ impl HttpPlane {
             free: Vec::new(),
             live: 0,
             draining: false,
-            cell,
+            snapshot,
             bus,
         };
         plane.listen();
@@ -508,9 +523,10 @@ impl HttpPlane {
     /// Accepts and pumps whatever the last [`HttpPlane::wait`] reported.
     pub(crate) fn serve_ready(&mut self) {
         for k in 0..self.events.len() {
-            match self.events[k].token {
+            let ev = self.events[k];
+            match ev.token {
                 LISTENER => self.accept(),
-                token => self.pump(token as usize),
+                token => self.pump(token as usize, ev.readable),
             }
         }
     }
@@ -520,16 +536,17 @@ impl HttpPlane {
     pub(crate) fn pump_streams(&mut self) {
         for i in 0..self.conns.len() {
             if matches!(&self.conns[i], Some(c) if matches!(c.mode, Mode::Events(_))) {
-                self.pump(i);
+                self.pump(i, false);
             }
         }
     }
 
-    /// The publish-tick sweep: request connections idle past
-    /// [`HTTP_IDLE_TIMEOUT`] close (flushed or not), quiet SSE streams
-    /// get a keep-alive comment, and a listener an accept error paused
-    /// is registered again.
-    pub(crate) fn sweep(&mut self, now: Instant) {
+    /// The publish-tick sweep: requests are answered from `snapshot` from
+    /// now on, request connections idle past [`HTTP_IDLE_TIMEOUT`] close
+    /// (flushed or not), quiet SSE streams get a keep-alive comment, and
+    /// a listener an accept error paused is registered again.
+    pub(crate) fn sweep(&mut self, snapshot: Arc<ApiSnapshot>, now: Instant) {
+        self.snapshot = snapshot;
         if !self.draining {
             self.listen();
         }
@@ -541,7 +558,7 @@ impl HttpPlane {
                 if now.duration_since(conn.last_sse_write) >= SSE_KEEPALIVE && conn.takes_work() {
                     conn.out.queue(sse::keep_alive().as_bytes());
                     conn.last_sse_write = now;
-                    self.pump(i);
+                    self.pump(i, false);
                 }
             } else if now.duration_since(conn.last_activity) >= HTTP_IDLE_TIMEOUT {
                 self.close(i);
@@ -560,7 +577,7 @@ impl HttpPlane {
             let _ = self.poller.deregister(sock_fd(&listener));
         }
         for i in 0..self.conns.len() {
-            self.pump(i);
+            self.pump(i, false);
         }
     }
 
@@ -611,16 +628,17 @@ impl HttpPlane {
         self.live += 1;
     }
 
-    /// Pumps slot `i` and re-arms or closes it. The pump runs under
-    /// `catch_unwind`, as a shard's connection pumps do: a bug on the
-    /// dashboard path drops one connection, not the aggregator.
-    fn pump(&mut self, i: usize) {
+    /// Pumps slot `i`, reading only if it was reported `readable`, and
+    /// re-arms or closes it. The pump runs under `catch_unwind`, as a
+    /// shard's connection pumps do: a bug on the dashboard path drops one
+    /// connection, not the aggregator.
+    fn pump(&mut self, i: usize, readable: bool) {
         let Some(conn) = self.conns.get_mut(i).and_then(Option::as_mut) else {
             return;
         };
-        let (cell, bus, draining) = (&*self.cell, &*self.bus, self.draining);
-        let finished =
-            catch_unwind(AssertUnwindSafe(|| conn.pump(cell, bus, draining))).unwrap_or(true);
+        let (snapshot, bus, draining) = (&*self.snapshot, &*self.bus, self.draining);
+        let pumped = || conn.pump(snapshot, bus, readable, draining);
+        let finished = catch_unwind(AssertUnwindSafe(pumped)).unwrap_or(true);
         if finished {
             return self.close(i);
         }
@@ -801,11 +819,50 @@ mod tests {
         (client, server)
     }
 
+    /// A short read drains the socket, so the pump that answers a request
+    /// does not also spend a read on the FIN behind it; the FIN keeps the
+    /// socket readable, and the next readable pump sees the EOF.
+    #[test]
+    fn a_request_then_fin_takes_two_pumps_and_the_second_sees_the_eof() {
+        use std::net::Shutdown;
+        let snapshot = ApiSnapshot::sample();
+        let bus = EventBus::new();
+        let (mut client, server) = socket_pair();
+        let req = b"GET /api/health HTTP/1.1\r\nHost: t\r\n\r\n";
+        client.write_all(req).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.peek(&mut [0u8; 64]).unwrap_or(0) < req.len() {
+            assert!(Instant::now() < deadline, "the request never arrived");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(50)); // the FIN follows
+        let mut conn = HttpConn::new(server);
+
+        assert!(!conn.pump(&snapshot, &bus, true, false), "unfinished");
+        assert_eq!(conn.out.unsent(), 0, "the answer is written");
+        client
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut answer = [0u8; 15];
+        client.read_exact(&mut answer).unwrap();
+        assert_eq!(&answer, b"HTTP/1.1 200 OK");
+        // The EOF keeps the socket readable, so the poller reports it.
+        let mut poller = Poller::new().unwrap();
+        poller
+            .register(sock_fd(&conn.stream), 0, Interest::READ)
+            .unwrap();
+        let mut events = Vec::new();
+        poller.wait(Duration::from_secs(5), &mut events).unwrap();
+        assert!(events.iter().any(|e| e.readable), "the EOF is reported");
+        assert!(conn.pump(&snapshot, &bus, true, false), "the EOF ends it");
+    }
+
     #[test]
     fn a_pipelining_peer_that_never_reads_holds_at_most_the_cap_plus_one_response() {
-        let (cell, _publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::sample()));
+        let snapshot = ApiSnapshot::sample();
         let bus = EventBus::new();
-        let one_response = json_response(200, &cell.load().stats_json(), true).len();
+        let one_response = json_response(200, &snapshot.stats_json(), true).len();
         let (mut client, server) = socket_pair();
         let writer = std::thread::spawn(move || {
             let req = b"GET /api/stats HTTP/1.1\r\nHost: t\r\n\r\n";
@@ -818,7 +875,10 @@ mod tests {
         });
         let mut conn = HttpConn::new(server);
         for _ in 0..300 {
-            assert!(!conn.pump(&cell, &bus, false), "the peer is still there");
+            assert!(
+                !conn.pump(&snapshot, &bus, true, false),
+                "the peer is still there"
+            );
             assert!(
                 conn.out.unsent() <= MAX_PENDING_OUT + one_response,
                 "{} bytes queued for a peer that never reads",
@@ -845,7 +905,7 @@ mod tests {
         const SOL_SOCKET: i32 = 1;
         const SO_RCVBUF: i32 = 8;
 
-        let (cell, _publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::sample()));
+        let snapshot = ApiSnapshot::sample();
         let bus = EventBus::new();
         let (mut client, server) = socket_pair();
         let rcvbuf: i32 = 4096;
@@ -856,14 +916,14 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !matches!(conn.mode, Mode::Events(_)) {
             assert!(Instant::now() < deadline, "never subscribed");
-            assert!(!conn.pump(&cell, &bus, false));
+            assert!(!conn.pump(&snapshot, &bus, true, false));
             std::thread::sleep(Duration::from_millis(1));
         }
         let frame = sse::frame("session", &"x".repeat(1000));
         for _ in 0..10_000 {
             bus.publish(frame.clone());
             assert!(
-                !conn.pump(&cell, &bus, false),
+                !conn.pump(&snapshot, &bus, true, false),
                 "the subscriber is still there"
             );
             assert!(

@@ -1,17 +1,17 @@
 //! Readiness-driven reactor primitives: a dependency-free poller
 //! (epoll on Linux, poll(2) on other unixes) that several shards can
 //! share listening sockets through, the one `accept` every listener
-//! goes through, the bounded per-connection outbox, and a coarse
-//! timer wheel.
+//! goes through, and the bounded per-connection outbox. Deadlines are
+//! not kept here: a shard keeps one per connection slot beside its
+//! connection table (see [`crate::server`]).
 //!
 //! Like [`crate::signal`], the OS surface is a tiny hand-declared FFI
-//! shim — no libc crate, no mio. Everything here is allocation-light on
-//! the hot path: `epoll_wait` returns only ready fds, and timers
-//! amortize to O(1) per tick via hashed wheel slots.
+//! shim — no libc crate, no mio. `epoll_wait` returns only ready fds,
+//! so an idle connection costs its shard nothing per wait.
 
 use std::io::{self, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -589,95 +589,6 @@ impl Outbox {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Timer wheel: hashed wheel with coarse ticks. Entries carry their real
-// deadline, so a slot hit only *checks* expiry — wrapped entries are
-// re-inserted. Stale entries die via per-token generations.
-// ---------------------------------------------------------------------------
-
-/// Coarse hashed timer wheel. `fire` returns `(token, generation)`
-/// pairs whose deadline has passed; the caller validates the generation
-/// against its live table, so cancelling is free (just bump the
-/// generation when the connection finishes).
-pub struct TimerWheel {
-    slots: Vec<Vec<WheelEntry>>,
-    tick: Duration,
-    /// Absolute tick index of the cursor slot.
-    cursor: u64,
-    origin: Instant,
-    scratch: Vec<WheelEntry>,
-}
-
-#[derive(Clone, Copy)]
-struct WheelEntry {
-    token: u64,
-    generation: u64,
-    deadline: Instant,
-}
-
-impl TimerWheel {
-    /// A wheel of `slots` buckets of `tick` width. With 256 × 250ms the
-    /// horizon is 64s; longer deadlines just re-insert on wrap.
-    pub fn new(slots: usize, tick: Duration, now: Instant) -> TimerWheel {
-        TimerWheel {
-            slots: (0..slots.max(2)).map(|_| Vec::new()).collect(),
-            tick,
-            cursor: 0,
-            origin: now,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn slot_for(&self, deadline: Instant) -> usize {
-        let ticks_from_origin = deadline
-            .saturating_duration_since(self.origin)
-            .as_nanos()
-            .checked_div(self.tick.as_nanos())
-            .unwrap_or(0) as u64;
-        // Never the cursor slot itself: at least one tick out, at most
-        // a full revolution ahead (wrapped entries re-insert on check).
-        let ahead = ticks_from_origin
-            .saturating_sub(self.cursor)
-            .clamp(1, self.slots.len() as u64 - 1);
-        ((self.cursor + ahead) % self.slots.len() as u64) as usize
-    }
-
-    /// Schedules `(token, generation)` to fire at `deadline`.
-    pub fn insert(&mut self, token: u64, generation: u64, deadline: Instant) {
-        let slot = self.slot_for(deadline);
-        self.slots[slot].push(WheelEntry {
-            token,
-            generation,
-            deadline,
-        });
-    }
-
-    /// Advances the wheel to `now`, appending expired `(token,
-    /// generation)` pairs to `expired`.
-    pub fn advance(&mut self, now: Instant, expired: &mut Vec<(u64, u64)>) {
-        let target = now
-            .saturating_duration_since(self.origin)
-            .as_nanos()
-            .checked_div(self.tick.as_nanos())
-            .unwrap_or(0) as u64;
-        while self.cursor < target {
-            self.cursor += 1;
-            let slot = (self.cursor % self.slots.len() as u64) as usize;
-            self.scratch.clear();
-            self.scratch.append(&mut self.slots[slot]);
-            for entry in std::mem::take(&mut self.scratch) {
-                if entry.deadline <= now {
-                    expired.push((entry.token, entry.generation));
-                } else {
-                    // Wrapped: this revolution was too early. Re-hash.
-                    let slot = self.slot_for(entry.deadline);
-                    self.slots[slot].push(entry);
-                }
-            }
-        }
-    }
-}
-
 /// Interest for a connection: always readable, writable only while
 /// output is queued (level-triggered, so writable interest on an idle
 /// socket would busy-spin the poller).
@@ -692,22 +603,7 @@ pub fn conn_interest(wants_write: bool) -> Interest {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_wheel_fires_at_deadline_not_before() {
-        let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(16, Duration::from_millis(10), t0);
-        wheel.insert(1, 0, t0 + Duration::from_millis(25));
-        wheel.insert(2, 0, t0 + Duration::from_millis(500)); // wraps (>160ms horizon)
-        let mut expired = Vec::new();
-        wheel.advance(t0 + Duration::from_millis(10), &mut expired);
-        assert!(expired.is_empty(), "nothing due at 10ms");
-        wheel.advance(t0 + Duration::from_millis(40), &mut expired);
-        assert_eq!(expired, vec![(1, 0)]);
-        expired.clear();
-        wheel.advance(t0 + Duration::from_millis(520), &mut expired);
-        assert_eq!(expired, vec![(2, 0)], "wrapped entry fires after re-hash");
-    }
+    use std::time::Instant;
 
     #[cfg(unix)]
     #[test]

@@ -5,19 +5,29 @@
 //! # Shards
 //!
 //! Each shard owns a [`crate::reactor::Poller`] (epoll on Linux,
-//! poll(2) on other unixes) plus a timer wheel, and registers every
-//! listening socket in it beside its own connections. On Linux the
-//! listener registrations are exclusive, so one waiting shard wakes per
-//! incoming connection. That shard accepts one connection per listener
-//! readiness, admits it and sends its banner on its own thread: no
-//! intake queue, no cross-thread wakeup. Connections are pumped only when
-//! their socket is ready or their deadline fires. Without a readiness
-//! API (non-unix hosts) [`Server::start`] refuses to serve.
+//! poll(2) on other unixes) and registers every listening socket in it
+//! beside its own connections. On Linux the listener registrations are
+//! exclusive, so one waiting shard wakes per incoming connection. That
+//! shard accepts one connection per listener readiness, admits it and
+//! sends its banner on its own thread: no intake queue, no cross-thread
+//! wakeup. Connections are pumped only when their socket is ready or
+//! their deadline passes. Without a readiness API (non-unix hosts)
+//! [`Server::start`] refuses to serve.
 //!
 //! Connections no shard has accepted yet wait in the kernel backlog,
 //! which is re-armed `max_connections` deep. Readiness is
 //! level-triggered, so a backlog of several connections keeps its
 //! listener reported until it is empty.
+//!
+//! # Deadlines
+//!
+//! A shard keeps one deadline per connection slot, beside its connection
+//! table: set from `Conn::deadline` at intake, cleared when the slot is
+//! freed, so timer memory is bounded by the peak of open connections. An
+//! entry is only a lower bound, since activity moves a deadline later and
+//! leaves the entry alone. The shard's wait ends at the earliest entry;
+//! then one sweep times out the connections whose real deadline has
+//! passed and refreshes the entries of the rest.
 //!
 //! # Durable capture
 //!
@@ -63,7 +73,7 @@
 //! publishes last.
 
 use crate::conn::{now_unix, Conn, SensorIdentity, SharedStore};
-use crate::reactor::{self, sock_fd, Event, Interest, Poller, TimerWheel};
+use crate::reactor::{self, sock_fd, Event, Interest, Poller};
 use crate::stats::{spawn_aggregator, AggEvent, AggregatorHandle, ApiSnapshot};
 use crate::writer::{spawn_store_writer, DiscardSink, WriterExit};
 use crate::{Admission, ChaosConfig, Gate, ServeConfig, ServeError, ServeStats, StatsSnapshot};
@@ -248,9 +258,9 @@ impl Server {
         let shutdown = Arc::new(AtomicBool::new(false));
 
         // The aggregator owns the periodic stderr line, publishes the
-        // lock-free snapshots, and serves the HTTP plane from its
-        // poller. The store writer feeds it stored records over its
-        // channel, which it drains in batches.
+        // snapshots, and serves the HTTP plane from its poller. The
+        // store writer feeds it stored records over its channel, which
+        // it drains in batches.
         let aggregator = spawn_aggregator(
             Arc::clone(&stats),
             Arc::clone(&shutdown),
@@ -451,10 +461,13 @@ impl ServerHandle {
         self.recovery.as_ref()
     }
 
-    /// The most recently published observability snapshot (same
-    /// lock-free read path the HTTP endpoints use).
+    /// The most recently published observability snapshot: the one the
+    /// HTTP endpoints render from, read from the copy the aggregator
+    /// leaves behind a mutex at each publish (4 times a second).
     pub fn api_snapshot(&self) -> Option<Arc<ApiSnapshot>> {
-        self.aggregator.as_ref().map(|a| a.cell.load())
+        self.aggregator
+            .as_ref()
+            .map(|a| Arc::clone(&a.latest.lock()))
     }
 
     /// Starts graceful shutdown: the listeners close, shards drain.
@@ -557,6 +570,12 @@ const MAX_ACCEPT_PAUSE: Duration = Duration::from_millis(200);
 /// Longest a shard or the supervisor waits before it looks at the
 /// shutdown flag again.
 const WAIT_CEILING: Duration = Duration::from_millis(50);
+
+/// Soonest a shard sweeps its deadlines again after a sweep, however
+/// early its next entry: a crowd of connections timing out one after
+/// another costs one pass over the deadlines per this interval, not one
+/// per timeout.
+const SWEEP_FLOOR: Duration = Duration::from_millis(100);
 
 /// Listener `k` registers under `LISTENER_TOKEN + k`; slot indices count
 /// up from 0 and never get near it.
@@ -786,12 +805,10 @@ fn build_conn<'s>(a: Admitted, remote_ref: &'s dyn RemoteStore) -> Conn<'s> {
     }
 }
 
-/// A connection slot in a reactor shard. `generation` invalidates
-/// stale timer-wheel entries after the slot is reused.
+/// A connection slot in a reactor shard.
 struct ShardSlot<'s> {
     conn: Conn<'s>,
     doomed: bool,
-    generation: u64,
     armed: Interest,
 }
 
@@ -804,11 +821,18 @@ const POOL_BUF_MAX: usize = 64 * 1024;
 /// share.
 struct Reactor<'s> {
     poller: Poller,
+    events: Vec<Event>,
     slots: Vec<Option<ShardSlot<'s>>>,
+    /// A lower bound on each slot's deadline, `None` while the slot is
+    /// free. Kept apart from `slots` so a sweep reads 16 bytes per slot,
+    /// not a connection.
+    due: Vec<Option<Instant>>,
+    /// When the deadlines are swept next: the earliest entry in `due`,
+    /// or no sooner than [`SWEEP_FLOOR`] after the last sweep; `None`
+    /// with no entry.
+    next_sweep: Option<Instant>,
     free: Vec<usize>,
     live: usize,
-    slot_gen: u64,
-    wheel: TimerWheel,
     /// One read buffer for every connection on the shard, plus a pool
     /// of reclaimed output buffers: per-connection allocation churn
     /// drops to (at most) one pool miss per intake.
@@ -821,11 +845,12 @@ impl<'s> Reactor<'s> {
     fn new(listeners: &[Listener]) -> std::io::Result<Self> {
         let mut r = Reactor {
             poller: Poller::new()?,
+            events: Vec::new(),
             slots: Vec::new(),
+            due: Vec::new(),
+            next_sweep: None,
             free: Vec::new(),
             live: 0,
-            slot_gen: 0,
-            wheel: TimerWheel::new(256, Duration::from_millis(100), Instant::now()),
             read_buf: vec![0u8; 16 * 1024],
             out_pool: Vec::new(),
         };
@@ -849,8 +874,44 @@ impl<'s> Reactor<'s> {
         }
     }
 
+    /// Waits up to `timeout` for readiness, accepts from each ready
+    /// listener, pumps each ready connection, and sweeps the deadlines
+    /// once the next sweep is due.
+    fn turn(
+        &mut self,
+        timeout: Duration,
+        acceptor: &mut Acceptor,
+        conn_chaos: &mut FailureInjector,
+        force_close: bool,
+        remote: &'s dyn RemoteStore,
+        ctx: &ShardCtx,
+    ) {
+        if self.poller.wait(timeout, &mut self.events).is_err() {
+            self.events.clear();
+        }
+        let now = Instant::now();
+        for e in 0..self.events.len() {
+            let ev = self.events[e];
+            if ev.token < LISTENER_TOKEN {
+                self.pump(ev.token as usize, ev.readable, force_close, now, ctx);
+                continue;
+            }
+            let k = (ev.token - LISTENER_TOKEN) as usize;
+            let paused = acceptor.accept(k, ctx, |a| {
+                let doomed = conn_chaos.fires();
+                self.intake(build_conn(a, remote), doomed, force_close, ctx);
+            });
+            if paused {
+                self.disarm(acceptor.listeners());
+            }
+        }
+        if self.next_sweep.is_some_and(|t| t <= now) {
+            self.sweep(now, force_close, ctx);
+        }
+    }
+
     /// Places an admitted connection in a slot, registers it with the
-    /// poller and the timer wheel, and gives it its first pump, which
+    /// poller, enters its deadline, and gives it its first pump, which
     /// writes the banner and reads nothing: bytes the peer has already
     /// sent, or its hangup, are reported on the next wait.
     fn intake(&mut self, mut conn: Conn<'s>, doomed: bool, force_close: bool, ctx: &ShardCtx) {
@@ -859,6 +920,7 @@ impl<'s> Reactor<'s> {
         }
         let i = self.free.pop().unwrap_or_else(|| {
             self.slots.push(None);
+            self.due.push(None);
             self.slots.len() - 1
         });
         // Register before the first pump so no readiness edge is lost
@@ -875,24 +937,16 @@ impl<'s> Reactor<'s> {
             self.free.push(i);
             return;
         }
-        self.slot_gen += 1;
+        let deadline = conn.deadline(ctx.idle_timeout, ctx.session_timeout);
+        self.due[i] = Some(deadline);
+        self.next_sweep = Some(self.next_sweep.map_or(deadline, |t| t.min(deadline)));
         self.slots[i] = Some(ShardSlot {
             conn,
             doomed,
-            generation: self.slot_gen,
             armed: Interest::READ,
         });
         self.live += 1;
         self.pump(i, false, force_close, Instant::now(), ctx);
-        self.schedule(i, ctx);
-    }
-
-    /// Puts slot `i`'s next deadline on the timer wheel, if it is live.
-    fn schedule(&mut self, i: usize, ctx: &ShardCtx) {
-        if let Some(slot) = self.slots.get(i).and_then(Option::as_ref) {
-            let deadline = slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout);
-            self.wheel.insert(i as u64, slot.generation, deadline);
-        }
     }
 
     /// Pumps slot `i` under the per-connection guard, reading only when
@@ -900,7 +954,7 @@ impl<'s> Reactor<'s> {
     /// the connection finished (or its pump panicked).
     fn pump(&mut self, i: usize, readable: bool, force_close: bool, now: Instant, ctx: &ShardCtx) {
         let Some(slot) = self.slots.get_mut(i).and_then(Option::as_mut) else {
-            return; // already finished this tick (e.g. event + timer)
+            return; // already finished this tick (e.g. event + sweep)
         };
         if force_close {
             slot.conn.abort();
@@ -932,6 +986,7 @@ impl<'s> Reactor<'s> {
             return;
         }
         let mut slot = self.slots[i].take().expect("slot checked above");
+        self.due[i] = None;
         // Recording the connection closes its socket, which is what takes
         // it out of an epoll set.
         self.poller.forget(slot.conn.raw_fd());
@@ -945,14 +1000,53 @@ impl<'s> Reactor<'s> {
         }
         self.free.push(i);
         self.live -= 1;
-        // Any timer-wheel entries for this slot die via the slot
-        // generation check when they fire.
     }
+
+    /// One pass over the deadlines at `now`. Each connection whose entry
+    /// and real deadline have both passed is pumped, and the pump's own
+    /// check times it out; a survivor's entry is refreshed. The next
+    /// sweep is at the earliest entry left, but no sooner than
+    /// [`SWEEP_FLOOR`] from now.
+    fn sweep(&mut self, now: Instant, force_close: bool, ctx: &ShardCtx) {
+        let deadline_of = |slot: &Option<ShardSlot<'_>>| {
+            slot.as_ref()
+                .map(|s| s.conn.deadline(ctx.idle_timeout, ctx.session_timeout))
+        };
+        let mut earliest: Option<Instant> = None;
+        for i in 0..self.due.len() {
+            let Some(mut bound) = self.due[i] else {
+                continue;
+            };
+            if bound <= now {
+                if deadline_of(&self.slots[i]).is_some_and(|d| d <= now) {
+                    self.pump(i, false, force_close, now, ctx);
+                }
+                let Some(deadline) = deadline_of(&self.slots[i]) else {
+                    continue;
+                };
+                bound = deadline;
+                self.due[i] = Some(bound);
+            }
+            earliest = Some(earliest.map_or(bound, |t| t.min(bound)));
+        }
+        self.next_sweep = earliest.map(|t| t.max(now + SWEEP_FLOOR));
+    }
+}
+
+/// How long a shard waits, at `now`, for a wait that ends at `until`,
+/// rounded up to the poller's whole milliseconds: cut down, the last
+/// fraction of one before a deadline would spin the poller.
+fn wait_until(until: Instant, now: Instant) -> Duration {
+    let ms = until
+        .saturating_duration_since(now)
+        .as_nanos()
+        .div_ceil(1_000_000);
+    Duration::from_millis(u64::try_from(ms).unwrap_or(u64::MAX))
 }
 
 /// One worker shard: readiness-driven. The listeners and the shard's
 /// own connections share one poller; connections are pumped when their
-/// socket is ready or their timer-wheel deadline fires — never scanned.
+/// socket is ready or, in a sweep, when their deadline has passed.
 /// Crash containment: per-connection `catch_unwind`, shard-level chaos
 /// at intake.
 fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &ShardCtx) {
@@ -975,8 +1069,6 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
     let remote_ref: &dyn RemoteStore = &*ctx.remote;
     let (mut conn_chaos, shard_chaos) = chaos_injectors(ctx, index, generation);
     let mut acceptor = Acceptor::new(listeners, shard_chaos);
-    let mut events: Vec<Event> = Vec::new();
-    let mut expired: Vec<(u64, u64)> = Vec::new();
     let mut drain_started: Option<Instant> = None;
 
     loop {
@@ -1008,66 +1100,35 @@ fn shard_loop(index: usize, generation: u64, listeners: Arc<[Listener]>, ctx: &S
         if acceptor.resume(now) {
             let _ = r.arm(acceptor.listeners());
         }
-        // Park until something is ready. The ceiling bounds how late we
-        // observe shutdown, drain expiry, timer-wheel deadlines and the
-        // end of an accept pause.
-        let mut timeout = if drain_started.is_some() {
-            Duration::from_millis(10)
-        } else {
-            WAIT_CEILING
-        };
-        if let Some(until) = acceptor.paused_until {
-            timeout = timeout.min(until.saturating_duration_since(now));
-        }
-        if r.poller.wait(timeout, &mut events).is_err() {
-            events.clear();
-        }
-        let now = Instant::now();
-        for ev in &events {
-            if ev.token < LISTENER_TOKEN {
-                r.pump(ev.token as usize, ev.readable, force_close, now, ctx);
-                continue;
-            }
-            let k = (ev.token - LISTENER_TOKEN) as usize;
-            let paused = acceptor.accept(k, ctx, |a| {
-                let doomed = conn_chaos.fires();
-                r.intake(build_conn(a, remote_ref), doomed, force_close, ctx);
-            });
-            if paused {
-                r.disarm(acceptor.listeners());
-            }
-        }
-
-        // Timer wheel: fire expired deadlines. Entries carry the slot
-        // generation, so a reused slot ignores its predecessor's
-        // timers; a deadline pushed forward by activity re-inserts.
-        r.wheel.advance(now, &mut expired);
-        for (token, gen) in expired.drain(..) {
-            let i = token as usize;
-            let Some(slot) = r.slots.get(i).and_then(Option::as_ref) else {
-                continue;
-            };
-            if slot.generation != gen {
-                continue;
-            }
-            let deadline = slot.conn.deadline(ctx.idle_timeout, ctx.session_timeout);
-            if deadline <= now {
-                // Really expired: the pump's own deadline check marks
-                // it timed out and finishes it; a survivor (activity
-                // raced the deadline) is rescheduled.
-                r.pump(i, false, force_close, now, ctx);
-                r.schedule(i, ctx);
+        // Park until something is ready, the next sweep is due or an
+        // accept pause ends. The ceiling bounds how late shutdown (and,
+        // while draining, the drain's expiry) is seen.
+        let mut until = now
+            + if drain_started.is_some() {
+                Duration::from_millis(10)
             } else {
-                r.wheel.insert(token, gen, deadline);
-            }
+                WAIT_CEILING
+            };
+        for t in [acceptor.paused_until, r.next_sweep].into_iter().flatten() {
+            until = until.min(t);
         }
+        r.turn(
+            wait_until(until, now),
+            &mut acceptor,
+            &mut conn_chaos,
+            force_close,
+            remote_ref,
+            ctx,
+        );
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use honeypot::SinkError;
+    use honeypot::{SessionEndReason, SinkError};
+    use std::collections::VecDeque;
+    use std::io::Write;
     use std::net::Ipv6Addr;
 
     #[test]
@@ -1185,16 +1246,17 @@ mod tests {
         (ctx, records)
     }
 
+    /// A loopback listener for `proto`, and its address.
+    fn listener(proto: Proto) -> (Arc<[Listener]>, SocketAddr) {
+        let (socket, addr) = bind("127.0.0.1:0".parse().unwrap()).expect("bind");
+        (vec![Listener { socket, proto }].into(), addr)
+    }
+
     /// An SSH listener with `n` connections queued in its backlog, each
     /// handshake complete, and the clients that made them.
     fn queued_listener(n: usize) -> (Arc<[Listener]>, Vec<TcpStream>) {
-        let (socket, addr) = bind("127.0.0.1:0".parse().unwrap()).expect("bind");
+        let (listeners, addr) = listener(Proto::Ssh);
         let clients: Vec<TcpStream> = (0..n).map(|_| TcpStream::connect(addr).unwrap()).collect();
-        let listeners: Arc<[Listener]> = vec![Listener {
-            socket,
-            proto: Proto::Ssh,
-        }]
-        .into();
         // The kernel finishes loopback handshakes on its own time: wait
         // until a poller sees the backlog.
         let mut poller = Poller::new().unwrap();
@@ -1255,6 +1317,209 @@ mod tests {
         shard.join().expect("the shard exits cleanly");
         assert_eq!(ctx.stats.accepted.load(Ordering::Relaxed), N as u64);
         assert_eq!(ctx.stats.completed.load(Ordering::Relaxed), N as u64);
+    }
+
+    /// A Telnet shard turned by hand, so a test can read its timer state
+    /// and pump its connections on a clock ahead of the real one.
+    struct TestShard<'s> {
+        r: Reactor<'s>,
+        acceptor: Acceptor,
+        chaos: FailureInjector,
+        addr: SocketAddr,
+        ctx: &'s ShardCtx,
+    }
+
+    impl<'s> TestShard<'s> {
+        fn new(ctx: &'s ShardCtx) -> Self {
+            let (listeners, addr) = listener(Proto::Telnet);
+            TestShard {
+                r: Reactor::new(&listeners).unwrap(),
+                acceptor: Acceptor::new(listeners, FailureInjector::new(0.0, 0)),
+                chaos: FailureInjector::new(0.0, 0),
+                addr,
+                ctx,
+            }
+        }
+
+        /// One turn of the shard on the real clock.
+        fn turn(&mut self) {
+            let remote: &'s dyn RemoteStore = &*self.ctx.remote;
+            let (acceptor, chaos) = (&mut self.acceptor, &mut self.chaos);
+            let timeout = Duration::from_millis(100);
+            self.r
+                .turn(timeout, acceptor, chaos, false, remote, self.ctx);
+        }
+
+        /// Connects a client and turns the shard until it has taken the
+        /// connection in; returns the client and the connection's slot.
+        fn open(&mut self) -> (TcpStream, usize) {
+            let client = TcpStream::connect(self.addr).unwrap();
+            let accepted = self.ctx.stats.accepted.load(Ordering::Relaxed) + 1;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut slot = self.r.free.last().copied().unwrap_or(self.r.slots.len());
+            while self.ctx.stats.accepted.load(Ordering::Relaxed) < accepted {
+                assert!(
+                    Instant::now() < deadline,
+                    "the connection was never accepted"
+                );
+                slot = self.r.free.last().copied().unwrap_or(self.r.slots.len());
+                self.turn();
+            }
+            (client, slot)
+        }
+
+        /// Has each client send `line`, and pumps what arrives at `now`,
+        /// which becomes those connections' last activity.
+        fn send(&mut self, clients: &mut [TcpStream], line: &[u8], now: Instant) {
+            let stats = &self.ctx.stats;
+            let want = stats.bytes_in.load(Ordering::Relaxed) + (clients.len() * line.len()) as u64;
+            for client in clients {
+                client.write_all(line).unwrap();
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while stats.bytes_in.load(Ordering::Relaxed) < want {
+                assert!(Instant::now() < deadline, "the lines never arrived");
+                let r = &mut self.r;
+                r.poller
+                    .wait(Duration::from_millis(100), &mut r.events)
+                    .unwrap();
+                for e in 0..r.events.len() {
+                    let ev = r.events[e];
+                    assert!(ev.token < LISTENER_TOKEN, "no connect is pending");
+                    r.pump(ev.token as usize, ev.readable, false, now, self.ctx);
+                }
+            }
+        }
+
+        /// The real deadline of the connection in slot `i`, if any.
+        fn deadline(&self, i: usize) -> Option<Instant> {
+            let (idle, session) = (self.ctx.idle_timeout, self.ctx.session_timeout);
+            let slot = self.r.slots[i].as_ref()?;
+            Some(slot.conn.deadline(idle, session))
+        }
+    }
+
+    /// A connection kept busy past its first idle deadline survives the
+    /// sweep that times out the silent connection opened with it: the
+    /// sweep ends a connection by its real deadline, not by its entry.
+    #[test]
+    fn a_busy_connection_survives_the_sweep_that_times_out_its_silent_sibling() {
+        let (ctx, records) = test_ctx();
+        let mut shard = TestShard::new(&ctx);
+        let (busy, b) = shard.open();
+        let (_silent, s) = shard.open();
+        // Both entries are due before `t0` + idle timeout (30 s).
+        let t0 = Instant::now();
+        shard.send(&mut [busy], b"root\r\n", t0 + Duration::from_secs(20));
+
+        shard.r.sweep(t0 + Duration::from_secs(31), false, &ctx);
+        assert!(shard.r.slots[b].is_some(), "the busy connection survives");
+        assert!(shard.r.slots[s].is_none(), "the silent one timed out");
+        assert_eq!(ctx.stats.timed_out.load(Ordering::Relaxed), 1);
+        let rec = records.try_recv().expect("the silent session is recorded");
+        assert_eq!(rec.end_reason, SessionEndReason::Timeout);
+        assert_eq!(shard.r.due[b], shard.deadline(b), "the entry is refreshed");
+        assert_eq!(shard.r.due[s], None, "a freed slot keeps no entry");
+    }
+
+    /// `session_timeout` ends a connection that never goes idle.
+    #[test]
+    fn the_session_timeout_ends_a_connection_that_stays_busy() {
+        let (ctx, records) = test_ctx();
+        let mut shard = TestShard::new(&ctx);
+        let (client, i) = shard.open();
+        let mut client = [client];
+        let t0 = Instant::now();
+        let at = |secs| t0 + Duration::from_secs(secs);
+        // Busy every 25 s: the idle deadline (30 s) never passes.
+        shard.send(&mut client, b"root\r\n", at(25));
+        shard.send(&mut client, b"hunter2\r\n", at(50));
+        shard.r.sweep(at(59), false, &ctx);
+        assert!(shard.r.slots[i].is_some(), "inside its 60 s session");
+        assert_eq!(ctx.stats.timed_out.load(Ordering::Relaxed), 0);
+
+        shard.r.sweep(at(61), false, &ctx);
+        assert!(shard.r.slots[i].is_none(), "the session timeout ended it");
+        assert_eq!(ctx.stats.timed_out.load(Ordering::Relaxed), 1);
+        let rec = records.try_recv().expect("the session is recorded");
+        assert_eq!(rec.end_reason, SessionEndReason::Timeout);
+        assert_eq!(rec.logins.len(), 1, "it was served until the end");
+    }
+
+    /// Timer state is bounded by the open connections, not by how many
+    /// came and went: after 10,000 connections through one shard, at
+    /// most 64 open at once, a slot holds an entry exactly while it holds
+    /// a connection. A sweep refreshes the entries of the connections
+    /// that survive it, so the next sweep is no earlier than the earliest
+    /// live deadline (or `SWEEP_FLOOR` from now, if that is later).
+    #[test]
+    fn timer_entries_are_bounded_by_the_open_connections() {
+        const TOTAL: usize = 10_000;
+        const OPEN: usize = 64;
+        let (ctx, records) = test_ctx();
+        let mut shard = TestShard::new(&ctx);
+        let mut open = VecDeque::new();
+        for _ in 0..TOTAL {
+            if open.len() == OPEN {
+                drop(open.pop_front());
+            }
+            open.push_back(shard.open().0);
+            while records.try_recv().is_ok() {}
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while shard.r.live > OPEN {
+            assert!(Instant::now() < deadline, "closed clients were never seen");
+            shard.turn();
+        }
+        let r = &shard.r;
+        assert_eq!(r.live, OPEN);
+        let completed = ctx.stats.completed.load(Ordering::Relaxed);
+        assert_eq!(
+            completed,
+            (TOTAL - OPEN) as u64,
+            "every closed client is recorded"
+        );
+        assert_eq!(r.due.len(), r.slots.len());
+        assert!(r.slots.len() < 2 * OPEN, "{} slots", r.slots.len());
+        for (entry, slot) in r.due.iter().zip(&r.slots) {
+            assert_eq!(entry.is_some(), slot.is_some(), "an entry per open slot");
+        }
+
+        // Every entry is due before `t0` + idle timeout (30 s); activity
+        // at `t0` + 20 s moves every real deadline to `t0` + 50 s.
+        let t0 = Instant::now();
+        let mut clients: Vec<TcpStream> = open.into();
+        shard.send(&mut clients, b"root\r\n", t0 + Duration::from_secs(20));
+        let now = t0 + Duration::from_secs(31);
+        shard.r.sweep(now, false, &ctx);
+        assert_eq!(shard.r.live, OPEN, "busy connections survive the sweep");
+        let live: Vec<usize> = (0..shard.r.slots.len())
+            .filter(|&i| shard.r.slots[i].is_some())
+            .collect();
+        for &i in &live {
+            assert_eq!(shard.r.due[i], shard.deadline(i), "slot {i} is refreshed");
+        }
+        let earliest = live.iter().filter_map(|&i| shard.deadline(i)).min();
+        let floor = earliest.expect("live connections").max(now + SWEEP_FLOOR);
+        assert!(
+            shard.r.next_sweep >= Some(floor),
+            "the next sweep is too early"
+        );
+    }
+
+    #[test]
+    fn a_wait_that_ends_at_a_deadline_rounds_up_to_whole_milliseconds() {
+        let now = Instant::now();
+        let wait = |micros| wait_until(now + Duration::from_micros(micros), now);
+        assert_eq!(wait(0), Duration::ZERO);
+        assert_eq!(wait(1), Duration::from_millis(1), "not a zero timeout");
+        assert_eq!(wait(999), Duration::from_millis(1));
+        assert_eq!(wait(50_000), Duration::from_millis(50));
+        assert_eq!(wait(50_001), Duration::from_millis(51));
+        assert_eq!(
+            wait_until(now, now + Duration::from_secs(1)),
+            Duration::ZERO
+        );
     }
 
     #[test]

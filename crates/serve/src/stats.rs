@@ -5,11 +5,14 @@
 //! with their dense ids, drained every 10 ms so no send ever has to wake
 //! the receiver), folds them into the *same* `honeylab-core`
 //! accumulators the post-hoc `analyze` pipeline runs, and periodically
-//! publishes an immutable [`ApiSnapshot`] through
-//! a [`crate::broadcast::SnapshotCell`]. The same thread serves the
+//! publishes an immutable [`ApiSnapshot`]. The same thread serves the
 //! HTTP plane (`http::HttpPlane`): it waits on the plane's poller between
-//! drains, and endpoints render from whatever snapshot is current —
-//! never from the accumulators, a lock, or any serving thread's state.
+//! drains, hands the plane each snapshot it publishes, and endpoints
+//! render from that snapshot — never from the accumulators, a lock, or
+//! any serving thread's state. Since the one writer and the plane share
+//! a thread, the snapshot needs no synchronisation on that path; readers
+//! on other threads ([`crate::ServerHandle::api_snapshot`]) read a copy
+//! of the `Arc` behind a mutex the aggregator sets at the same publish.
 //!
 //! Because the taxonomy and credential accumulators are the identical
 //! types `core::AnalysisBuilder` composes, and only stored records reach
@@ -23,7 +26,7 @@
 //! atomics on each tick, so the accept path needs no modification (and
 //! takes no new writes) to be observable.
 
-use crate::broadcast::{EventBus, SnapshotCell, SnapshotPublisher};
+use crate::broadcast::EventBus;
 use crate::conn::now_unix;
 use crate::http::HttpPlane;
 use crate::reactor::Poller;
@@ -44,7 +47,7 @@ use std::time::{Duration, Instant};
 /// How many passwords `/api/credentials/top` ranks.
 pub const TOP_CREDENTIALS: usize = 10;
 
-/// Publish cadence of the snapshot cell.
+/// Publish cadence of the snapshot.
 pub const PUBLISH_TICK: Duration = Duration::from_millis(250);
 
 /// Longest the aggregator waits on its poller between passes over its
@@ -316,9 +319,8 @@ pub struct SseStats {
 }
 
 /// The immutable document the aggregator publishes and every HTTP
-/// endpoint renders from. Readers acquire it as an `Arc` through the
-/// lock-free snapshot cell; a reader holding an old generation sees a
-/// consistent (if slightly stale) view.
+/// endpoint renders from. Readers hold it as an `Arc`; one holding an
+/// older snapshot sees a consistent (if slightly stale) view.
 #[derive(Debug, Clone)]
 pub struct ApiSnapshot {
     /// When this snapshot was published (unix seconds).
@@ -666,8 +668,10 @@ pub struct AggregatorHandle {
     /// Event intake; the store writer holds a clone. Dropping every
     /// sender stops the thread (after a final publish).
     pub tx: Sender<AggEvent>,
-    /// The snapshot cell the HTTP plane renders from.
-    pub cell: Arc<SnapshotCell<ApiSnapshot>>,
+    /// The most recently published snapshot, for readers off the
+    /// aggregator thread. The aggregator replaces it at each publish;
+    /// lock it only to clone the `Arc` out.
+    pub latest: Arc<parking_lot::Mutex<Arc<ApiSnapshot>>>,
     /// The SSE fan-out bus.
     pub bus: Arc<EventBus>,
     thread: JoinHandle<()>,
@@ -697,17 +701,18 @@ pub fn spawn_aggregator(
 ) -> AggregatorHandle {
     let (tx, rx) = std::sync::mpsc::channel::<AggEvent>();
     let now = now_unix();
-    let (cell, publisher) = SnapshotCell::new(Arc::new(ApiSnapshot::empty(now)));
+    let first = Arc::new(ApiSnapshot::empty(now));
+    let latest = Arc::new(parking_lot::Mutex::new(Arc::clone(&first)));
     let bus = Arc::new(EventBus::new());
     let thread = {
-        let plane = HttpPlane::new(poller, http, Arc::clone(&cell), Arc::clone(&bus));
-        let bus = Arc::clone(&bus);
+        let plane = HttpPlane::new(poller, http, first, Arc::clone(&bus));
+        let (latest, bus) = (Arc::clone(&latest), Arc::clone(&bus));
         std::thread::Builder::new()
             .name("serve-aggregator".into())
             .spawn(move || {
                 aggregator_loop(
                     &rx,
-                    publisher,
+                    &latest,
                     plane,
                     &bus,
                     &stats,
@@ -720,7 +725,7 @@ pub fn spawn_aggregator(
     };
     AggregatorHandle {
         tx,
-        cell,
+        latest,
         bus,
         thread,
     }
@@ -729,7 +734,7 @@ pub fn spawn_aggregator(
 #[allow(clippy::too_many_arguments)]
 fn aggregator_loop(
     rx: &Receiver<AggEvent>,
-    mut publisher: SnapshotPublisher<ApiSnapshot>,
+    latest: &parking_lot::Mutex<Arc<ApiSnapshot>>,
     mut plane: HttpPlane,
     bus: &EventBus,
     stats: &ServeStats,
@@ -799,8 +804,9 @@ fn aggregator_loop(
                 subscribers: bus.subscribers() as u64,
                 dropped_frames: bus.dropped_frames(),
             };
-            publisher.publish(Arc::new(state.snapshot(now, counters, sse)));
-            plane.sweep(last_publish);
+            let snapshot = Arc::new(state.snapshot(now, counters, sse));
+            *latest.lock() = Arc::clone(&snapshot);
+            plane.sweep(snapshot, last_publish);
         }
         // Frames rendered in this pass leave in this pass.
         if framed {
@@ -991,9 +997,9 @@ mod tests {
             .send(AggEvent::Sessions(vec![sample_record(7, now_unix())]))
             .unwrap();
         // The final publish on disconnect folds the session in.
-        let cell = Arc::clone(&handle.cell);
+        let latest = Arc::clone(&handle.latest);
         handle.join().unwrap();
-        let snap = cell.load();
+        let snap = Arc::clone(&latest.lock());
         assert_eq!(snap.taxonomy.total_sessions, 1);
         assert_eq!(snap.recent[0].session_id, 7);
         let frame = sub.try_next().expect("session frame fanned out");
@@ -1023,7 +1029,7 @@ mod tests {
         }
         // Folded with nobody listening: the taxonomy still counts them.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while handle.cell.load().taxonomy.total_sessions < 3 {
+        while handle.latest.lock().taxonomy.total_sessions < 3 {
             assert!(
                 Instant::now() < deadline,
                 "unsubscribed sessions never published"
@@ -1034,9 +1040,9 @@ mod tests {
         for id in 4..=5 {
             send(id);
         }
-        let cell = Arc::clone(&handle.cell);
+        let latest = Arc::clone(&handle.latest);
         handle.join().unwrap();
-        assert_eq!(cell.load().taxonomy.total_sessions, 5);
+        assert_eq!(latest.lock().taxonomy.total_sessions, 5);
         let mut streamed = Vec::new();
         while let Some(frame) = sub.try_next() {
             assert!(frame.starts_with("event: session\n"));

@@ -185,6 +185,46 @@ if [ "$live_tax" != "$batch_tax" ]; then
 fi
 rm -rf "$bar_dir"
 
+echo "== tier1: storeless serve keeps flat memory (barrage 30,000 + 60,000 sessions) =="
+# A finished connection must leave nothing behind: once 30,000 sessions
+# have warmed up a storeless one-shard server, 60,000 more may grow its
+# RSS by at most 2048 kB. Measured on a 2-CPU host over 5 runs, this
+# code grew 656-1016 kB; a shard that kept each closed connection's
+# timer until its 180 s idle deadline grew 3300-3888 kB.
+flat_dir="$(mktemp -d)"
+flat_log="$flat_dir/serve.log"
+# Same FIFO trick as above: SIGINT (not stdin EOF) ends this instance.
+mkfifo "$flat_dir/stdin"
+./target/release/honeylab serve --ssh-port 0 --workers 1 --stats-secs 0 \
+    < "$flat_dir/stdin" 2> "$flat_log" &
+flat_pid=$!
+exec 5> "$flat_dir/stdin"
+for _ in $(seq 1 100); do
+    grep -q 'listening ssh on ' "$flat_log" && break
+    sleep 0.1
+done
+flat_ssh="$(sed -n 's/^listening ssh on //p' "$flat_log" | head -1)"
+[ -n "$flat_ssh" ] || { echo "serve never came up"; cat "$flat_log"; exit 1; }
+flat_rss() { awk '/^VmRSS:/ {print $2}' "/proc/$flat_pid/status"; }
+./target/release/honeylab barrage "$flat_ssh" --sessions 30000 --rate 3000 --seed 1 \
+    2> "$flat_dir/barrage.log" \
+    || { echo "warm-up barrage failed"; cat "$flat_dir/barrage.log"; exit 1; }
+rss_before="$(flat_rss)"
+./target/release/honeylab barrage "$flat_ssh" --sessions 60000 --rate 3000 --seed 2 \
+    2> "$flat_dir/barrage.log" \
+    || { echo "barrage failed"; cat "$flat_dir/barrage.log"; exit 1; }
+rss_after="$(flat_rss)"
+kill -INT "$flat_pid"
+exec 5>&-
+wait "$flat_pid" || { echo "serve did not exit cleanly"; cat "$flat_log"; exit 1; }
+rss_growth=$((rss_after - rss_before))
+echo "VmRSS ${rss_before} kB -> ${rss_after} kB over 60,000 sessions (+${rss_growth} kB)"
+if [ "$rss_growth" -gt 2048 ]; then
+    echo "a storeless server's memory grew ${rss_growth} kB over 60,000 sessions (bound 2048 kB)"
+    exit 1
+fi
+rm -rf "$flat_dir"
+
 echo "== tier1: honeybench (metric-name drift guard, tiny replay) =="
 cargo test --manifest-path honeybench/Cargo.toml
 
