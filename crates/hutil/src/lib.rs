@@ -9,7 +9,7 @@
 //!   them.
 //! * [`base64`] — RFC 4648 codec, needed to decode the `mdrfckr` actor's
 //!   base64-encoded payload scripts (paper §9).
-//! * [`crc32`] — IEEE CRC-32, the per-block integrity checksum of the
+//! * [`crc32`](mod@crc32) — IEEE CRC-32, the per-block integrity checksum of the
 //!   `sessiondb` on-disk segment format.
 //! * [`date`] — proleptic-Gregorian civil-date arithmetic without any
 //!   ambient-clock access; the simulation clock is always explicit.

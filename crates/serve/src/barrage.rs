@@ -984,6 +984,105 @@ mod tests {
         assert!(plans.iter().all(|p| p.offset_micros == 0));
     }
 
+    /// SHA-256 of each direction's bytes when `plan` runs in memory
+    /// against the honeypot's SSH machine, keyed the way `Conn::ssh`
+    /// keys connection `seq`: (client to server, server to client).
+    fn wire_digests(plan: &SessionPlan, seq: u64) -> (String, String) {
+        use honeypot::{shell::NullStore, wire::WireHandler, AuthPolicy};
+        use hutil::Sha256;
+        let store = NullStore;
+        let mut cookie = [0u8; 16];
+        cookie[..8].copy_from_slice(&seq.to_le_bytes());
+        cookie[8..].copy_from_slice(&(!seq).to_le_bytes());
+        let mut server = sshwire::SshServer::new(
+            WireHandler::new(AuthPolicy::default(), &store),
+            sshwire::SERVER_VERSION_DEFAULT,
+            cookie,
+            seq.to_le_bytes().to_vec(),
+        );
+        let mut client =
+            (!plan.banner_only).then(|| SshClient::new(plan.script(), seq.to_le_bytes().to_vec()));
+        let (mut up, mut down) = (Sha256::new(), Sha256::new());
+        loop {
+            let to_client = server.take_output();
+            let to_server = client.as_mut().map(|c| c.take_output()).unwrap_or_default();
+            if to_client.is_empty() && to_server.is_empty() {
+                break;
+            }
+            up.update(&to_server);
+            down.update(&to_client);
+            server
+                .input(&to_server)
+                .expect("the server accepts the client");
+            if let Some(client) = client.as_mut() {
+                client
+                    .input(&to_client)
+                    .expect("the client accepts the server");
+            }
+        }
+        if let Some(client) = &client {
+            assert!(client.is_closed(), "{} did not finish", plan.archetype);
+        }
+        (
+            Sha256::to_hex(&up.finalize()),
+            Sha256::to_hex(&down.finalize()),
+        )
+    }
+
+    /// Every byte of each archetype's dialogue, both directions, as the
+    /// encoder wrote it when these digests were taken. The equivalence
+    /// oracle compares records only, so an encoder or framing change
+    /// that moves one byte would pass it and fails here.
+    #[test]
+    fn each_archetypes_wire_bytes_are_pinned() {
+        let plans = build_schedule(&cfg(
+            7,
+            LoadMode::Closed {
+                concurrency: 8,
+                think: Duration::ZERO,
+            },
+        ));
+        for (kind, want_up, want_down) in [
+            (
+                "scanner",
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+                "fb7c5b408eab475bd31dc9932ddf4958cd049a523757106bec2a1e8ef0cc5c4e",
+            ),
+            (
+                "scout",
+                "a0ba206592a6c11a5e793f84ee6866caf13a8a5e24bc7054a60f440a49e9c02a",
+                "81f598aee661b15ce62e7b51fec6d3feac8eb3ec8de5a02cf62fd6ec23c01077",
+            ),
+            (
+                "intruder",
+                "d0d00f46d1d754012dfc56e03e59ae64630b9e77f29f591b0a7f4df7d1a1d361",
+                "f4d0c7f8691d2c189ef18542ba306f9331bd1fd676bcc19dd0b19d7670ce81ef",
+            ),
+            (
+                "command_bot",
+                "05076e17760bb2d8034bb82b40b78ae3945f4891c3dd973e1d43a73cd1e0f451",
+                "44b0a6334614e488f27e5c0f0e491225bc99799ad660dad230cd49fd2065c3b3",
+            ),
+            (
+                "loader",
+                "842b2fd9376a42b37b9076b91b54310e3be6490b0bee3723d5a82c6371a6517f",
+                "2320589803bb48ab8ddda82f8c00a4be4d0f9c2844e8ebe00b7fc0ba5504161b",
+            ),
+        ] {
+            let (seq, plan) = plans
+                .iter()
+                .enumerate()
+                .find(|(_, p)| p.archetype == kind)
+                .expect("seed 7's 500 plans hold every archetype");
+            let (up, down) = wire_digests(plan, seq as u64);
+            assert_eq!(
+                (up.as_str(), down.as_str()),
+                (want_up, want_down),
+                "{kind} (plan {seq})"
+            );
+        }
+    }
+
     #[test]
     fn schedule_covers_the_archetype_mix() {
         let plans = build_schedule(&BarrageConfig {

@@ -5,8 +5,10 @@
 //! the poller reports its socket ready or its deadline passes: the pump
 //! flushes what the machine has queued, reads only if the socket was
 //! reported readable, and stops reading at the first short read, at the
-//! peer's EOF, or once [`crate::reactor::MAX_PENDING_OUT`] bytes wait
-//! unsent. Readiness is level-triggered, so bytes that arrive later are
+//! peer's EOF, once the machine closes, or once
+//! [`crate::reactor::MAX_PENDING_OUT`] bytes wait unsent. A closed
+//! machine's connection only drains its output, and then ends.
+//! Readiness is level-triggered, so bytes that arrive later are
 //! reported on the next wait, and no read is spent learning that the
 //! socket is empty.
 
@@ -173,7 +175,7 @@ impl<'s> Conn<'s> {
     /// first. If the poller reported the socket `readable`, the pump then
     /// reads into `buf`, feeds the machine and flushes what it answered,
     /// until a read does not fill `buf` (the socket is drained), the peer
-    /// closes, or the unsent output reaches
+    /// closes, the machine closes, or the unsent output reaches
     /// [`crate::reactor::MAX_PENDING_OUT`]. Deadlines are checked last.
     /// Returns `true` once the connection is finished and ready for
     /// [`Conn::finish`].
@@ -205,7 +207,9 @@ impl<'s> Conn<'s> {
                 self.ending = Some(Ending::Error);
                 return true;
             }
-            if !readable || self.out.full() {
+            // A closed machine only drains its output: reading more
+            // would feed it nothing and keep an idle peer alive.
+            if !readable || self.out.full() || self.machine_closed() {
                 break;
             }
             match self.stream.read(&mut *buf) {
@@ -254,9 +258,11 @@ impl<'s> Conn<'s> {
 
     /// What the poller should report for this connection: writable only
     /// while output is queued, and not readable while the unsent output
-    /// is at the cap.
+    /// is at the cap or the machine is closed and draining it (the pump
+    /// reads neither, and a level-triggered readable socket would wake
+    /// the shard for nothing).
     pub(crate) fn interest(&self) -> Interest {
-        if self.out.full() {
+        if self.out.full() || self.machine_closed() {
             Interest::WRITE
         } else {
             conn_interest(self.out.unsent() > 0)
@@ -510,6 +516,85 @@ mod tests {
             300,
             "18 full reads and a short one"
         );
+    }
+
+    /// Fills the kernel's buffers toward a peer that never reads, through
+    /// a second handle on the server's socket, so that whatever the
+    /// server sends next stays unsent.
+    fn clog(server: &mut TcpStream) {
+        let junk = [0u8; 64 * 1024];
+        let mut refusals = 0;
+        while refusals < 3 {
+            match server.write(&junk) {
+                Ok(_) => refusals = 0,
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    refusals += 1;
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+                Err(e) => panic!("clogging the socket: {e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_not_read_once_its_machine_closes() {
+        let mut disconnect = Vec::new();
+        sshwire::packet::PacketCodec::new().seal(&mut disconnect, |b| {
+            sshwire::Message::Disconnect {
+                code: 11,
+                description: "bye",
+            }
+            .encode_into(b)
+        });
+        // One flight ends the dialogue cleanly, the other with a packet
+        // whose length field is absurd; both peers then keep writing.
+        for (closer, bad) in [(disconnect, false), (vec![0xff; 8], true)] {
+            let (mut client, server) = socket_pair();
+            let mut clogger = server.try_clone().unwrap();
+            let writer = std::thread::spawn(move || {
+                let _ = client.write_all(b"SSH-2.0-client\r\n");
+                let _ = client.write_all(&closer);
+                let noise = [b'A'; 4096];
+                for _ in 0..1_000 {
+                    if client.write_all(&noise).is_err() {
+                        break; // the server side closed: the test is over
+                    }
+                }
+                client // held open, never read
+            });
+            let (store, stats) = (NullStore, Arc::new(ServeStats::default()));
+            let mut conn = ssh(server, &store, &stats);
+            let mut buf = vec![0u8; READ_BUF];
+            clog(&mut clogger);
+            assert!(!pump(&mut conn, &mut buf, false, &stats), "intake");
+            wait_queued(&clogger, 2 * READ_BUF);
+
+            clog(&mut clogger);
+            let finished = pump(&mut conn, &mut buf, true, &stats);
+            let read = stats.bytes_in.load(Ordering::Relaxed);
+            assert!(read <= READ_BUF as u64, "read {read} bytes past the close");
+            if bad {
+                assert!(finished, "a bad packet ends the connection");
+                assert_eq!(stats.wire_errors.load(Ordering::Relaxed), 1);
+                assert_eq!(conn.ending, Some(Ending::Error));
+            } else {
+                assert!(!finished, "the closed machine's output is unsent");
+                assert!(conn.out.unsent() > 0);
+                assert_eq!(conn.interest(), Interest::WRITE, "reading has stopped");
+                // Even when the poller reports it readable, nothing more
+                // is read, so only the idle deadline ends it.
+                assert!(!pump(&mut conn, &mut buf, true, &stats));
+                assert_eq!(stats.bytes_in.load(Ordering::Relaxed), read);
+                let idle = Duration::from_secs(60);
+                let later = Instant::now() + idle;
+                assert!(conn.pump(&mut buf, true, later, idle, idle * 10, &stats));
+                assert_eq!(conn.ending, Some(Ending::Timeout));
+                assert_eq!(stats.bytes_in.load(Ordering::Relaxed), read);
+            }
+            drop(conn);
+            drop(clogger);
+            writer.join().unwrap();
+        }
     }
 
     /// What the Telnet machine answers to one `line` after a login.

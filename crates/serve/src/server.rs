@@ -32,7 +32,7 @@
 //! # Durable capture
 //!
 //! A shard sends each finished session's record, by move, to the one
-//! `store-writer` thread ([`crate::writer`]) and goes back to its
+//! `store-writer` thread (the `writer` module) and goes back to its
 //! sockets: no clone, no lock, no disk call. The writer owns the
 //! collector and the store. It gathers records for one drain tick
 //! (10 ms), appends the batch, commits it once (one WAL sync under

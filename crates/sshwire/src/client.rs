@@ -6,10 +6,11 @@
 //! the wire protocol.
 
 use crate::msg::{KexInit, Message};
-use crate::packet::PacketCodec;
-use crate::server::{derive_session_key, exec_payload, parse_exit_status, take_line};
+use crate::packet::{feed, split_line, PacketCodec};
+use crate::server::derive_session_key;
+use crate::wire::{get_u32, put_string};
 use crate::SshError;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 
 /// What a scripted client should attempt.
 #[derive(Debug, Clone)]
@@ -92,8 +93,9 @@ pub struct SshClient {
     phase: Phase,
     tx: PacketCodec,
     rx: PacketCodec,
-    inbuf: BytesMut,
-    outbuf: BytesMut,
+    /// The incomplete line or packet the last input ended with.
+    inbuf: Vec<u8>,
+    outbuf: Vec<u8>,
     client_nonce: Vec<u8>,
     session_key: Option<[u8; 32]>,
     next_password: usize,
@@ -113,8 +115,8 @@ impl SshClient {
             phase: Phase::VersionExchange,
             tx: PacketCodec::new(),
             rx: PacketCodec::new(),
-            inbuf: BytesMut::new(),
-            outbuf: BytesMut::new(),
+            inbuf: Vec::new(),
+            outbuf: Vec::new(),
             client_nonce,
             session_key: None,
             next_password: 0,
@@ -146,62 +148,72 @@ impl SshClient {
 
     /// Drains bytes queued for the server.
     pub fn take_output(&mut self) -> Bytes {
-        self.outbuf.split().freeze()
+        Bytes::from(std::mem::take(&mut self.outbuf))
     }
 
-    /// Feeds raw bytes from the server.
+    /// Feeds raw bytes from the server. A closed client drops its input.
     pub fn input(&mut self, data: &[u8]) -> Result<(), SshError> {
-        self.inbuf.extend_from_slice(data);
-        let r = self.pump();
+        if self.phase == Phase::Closed {
+            return Ok(());
+        }
+        let mut pending = std::mem::take(&mut self.inbuf);
+        let r = feed(&mut pending, data, |bytes| self.consume(bytes));
         if r.is_err() {
             self.phase = Phase::Closed;
+        }
+        if self.phase != Phase::Closed {
+            self.inbuf = pending;
         }
         r
     }
 
-    fn send(&mut self, msg: Message) {
-        let payload = msg.encode();
-        let wire = self.tx.seal(&payload);
-        self.outbuf.extend_from_slice(&wire);
-        if matches!(msg, Message::NewKeys) {
-            let key = self.session_key.expect("session key before NEWKEYS");
-            self.tx.enable_integrity(key);
-        }
+    /// Seals `msg` onto the output queue.
+    fn send(&mut self, msg: &Message<'_>) {
+        self.tx.seal(&mut self.outbuf, |b| msg.encode_into(b));
     }
 
     fn finish(&mut self) {
-        self.send(Message::Disconnect {
+        self.send(&Message::Disconnect {
             code: 11,
-            description: "bye".into(),
+            description: "bye",
         });
         self.events.push(ClientEvent::Done);
         self.phase = Phase::Closed;
     }
 
-    fn pump(&mut self) -> Result<(), SshError> {
+    /// Handles every complete line or packet at the front of `buf`;
+    /// returns how many bytes that used (all of them once closed).
+    fn consume(&mut self, buf: &[u8]) -> Result<usize, SshError> {
+        let mut used = 0;
         loop {
+            let rest = &buf[used..];
             match self.phase {
-                Phase::Closed => return Ok(()),
+                Phase::Closed => return Ok(buf.len()),
                 Phase::VersionExchange => {
-                    let Some(line) = take_line(&mut self.inbuf) else {
-                        return Ok(());
+                    let Some((line, len)) = split_line(rest) else {
+                        return Ok(used);
                     };
+                    used += len;
+                    let line = String::from_utf8_lossy(line).into_owned();
                     if !line.starts_with("SSH-2.0-") {
                         return Err(SshError::BadVersionExchange(line));
                     }
                     self.events.push(ClientEvent::ServerVersion(line));
-                    self.send(Message::KexInit(KexInit::default_with_cookie([0xA5; 16])));
-                    self.send(Message::KexdhInit {
-                        e: Bytes::from(self.client_nonce.clone()),
-                    });
+                    self.send(&Message::KexInit(KexInit::default_with_cookie([0xA5; 16])));
+                    // The message borrows `client_nonce`, so it is sealed
+                    // through the two fields `send` would take with `self`.
+                    let init = Message::KexdhInit {
+                        e: &self.client_nonce,
+                    };
+                    self.tx.seal(&mut self.outbuf, |b| init.encode_into(b));
                     self.phase = Phase::Kex;
                 }
                 _ => {
-                    let Some(payload) = self.rx.open(&mut self.inbuf)? else {
-                        return Ok(());
+                    let Some((payload, len)) = self.rx.open(rest)? else {
+                        return Ok(used);
                     };
-                    let msg = Message::decode(payload)?;
-                    self.handle(msg)?;
+                    self.handle(Message::decode(payload)?)?;
+                    used += len;
                 }
             }
         }
@@ -213,13 +225,14 @@ impl SshClient {
             self.finish();
             return;
         }
-        let pw = self.script.passwords[self.next_password].clone();
+        // Borrows the script: sealed as in the version exchange.
+        let request = Message::UserauthRequest {
+            username: &self.script.username,
+            service: "ssh-connection",
+            password: Some(&self.script.passwords[self.next_password]),
+        };
+        self.tx.seal(&mut self.outbuf, |b| request.encode_into(b));
         self.next_password += 1;
-        self.send(Message::UserauthRequest {
-            username: self.script.username.clone(),
-            service: "ssh-connection".into(),
-            password: Some(pw),
-        });
     }
 
     fn open_channel_or_finish(&mut self) {
@@ -227,8 +240,8 @@ impl SshClient {
             self.finish();
             return;
         }
-        self.send(Message::ChannelOpen {
-            kind: "session".into(),
+        self.send(&Message::ChannelOpen {
+            kind: "session",
             sender: self.current_command as u32,
             window: 1 << 20,
             max_packet: 32_768,
@@ -236,7 +249,7 @@ impl SshClient {
         self.phase = Phase::OpenChannel;
     }
 
-    fn handle(&mut self, msg: Message) -> Result<(), SshError> {
+    fn handle(&mut self, msg: Message<'_>) -> Result<(), SshError> {
         match (self.phase, msg) {
             (_, Message::Disconnect { .. }) => {
                 self.phase = Phase::Closed;
@@ -247,9 +260,10 @@ impl SshClient {
                 Ok(())
             }
             (Phase::AwaitKexReply, Message::KexdhReply { f, .. }) => {
-                let key = derive_session_key(&self.client_nonce, &f);
+                let key = derive_session_key(&self.client_nonce, f);
                 self.session_key = Some(key);
-                self.send(Message::NewKeys);
+                self.send(&Message::NewKeys);
+                self.tx.enable_integrity(key);
                 self.phase = Phase::AwaitNewKeys;
                 Ok(())
             }
@@ -257,7 +271,7 @@ impl SshClient {
                 let key = self.session_key.expect("session key set in AwaitKexReply");
                 self.rx.enable_integrity(key);
                 self.events.push(ClientEvent::KeysEstablished);
-                self.send(Message::ServiceRequest("ssh-userauth".into()));
+                self.send(&Message::ServiceRequest("ssh-userauth"));
                 self.phase = Phase::AwaitServiceAccept;
                 Ok(())
             }
@@ -288,12 +302,16 @@ impl SshClient {
                 self.channel_open = true;
                 self.current_output.clear();
                 self.current_status = None;
-                let cmd = self.script.commands[self.current_command].clone();
-                self.send(Message::ChannelRequest {
+                let mut command = Vec::new();
+                put_string(
+                    &mut command,
+                    self.script.commands[self.current_command].as_bytes(),
+                );
+                self.send(&Message::ChannelRequest {
                     recipient: sender,
-                    kind: "exec".into(),
+                    kind: "exec",
                     want_reply: true,
-                    payload: exec_payload(&cmd),
+                    payload: &command,
                 });
                 self.phase = Phase::RunCommand;
                 Ok(())
@@ -308,12 +326,13 @@ impl SshClient {
                 Ok(())
             }
             (Phase::RunCommand, Message::ChannelData { data, .. }) => {
-                self.current_output.extend_from_slice(&data);
+                self.current_output.extend_from_slice(data);
                 Ok(())
             }
             (Phase::RunCommand, Message::ChannelRequest { kind, payload, .. }) => {
                 if kind == "exit-status" {
-                    self.current_status = Some(parse_exit_status(&payload)?);
+                    let mut p = payload;
+                    self.current_status = Some(get_u32(&mut p)?);
                 }
                 Ok(())
             }

@@ -11,6 +11,13 @@
 //! * password user authentication with per-attempt accept/reject,
 //! * a single `session` channel carrying `exec` requests and their output.
 //!
+//! Both machines work in place. A packet is verified where it lies in
+//! the bytes the caller passed to `input`, decoded into a [`Message`]
+//! that borrows from it, and handled before it is consumed; only what a
+//! version line or packet leaves incomplete is copied aside. Outgoing
+//! messages are encoded and sealed straight onto the machine's output
+//! queue.
+//!
 //! **Scope note.** The study's analysis never depends on confidentiality —
 //! honeypots *want* to read attacker traffic — so the key exchange derives
 //! its "shared secret" from the exchanged nonces with SHA-256 instead of
@@ -30,12 +37,6 @@ pub use client::{ClientEvent, ClientScript, SshClient};
 pub use msg::Message;
 pub use server::{AuthOutcome, ServerHandler, SshServer};
 pub use transport::{run_dialogue, DialogueLog};
-
-/// Builds a `BytesMut` from a byte slice — a convenience for downstream
-/// tests that do not depend on the `bytes` crate directly.
-pub fn bytes_mut_from(data: &[u8]) -> bytes::BytesMut {
-    bytes::BytesMut::from(data)
-}
 
 /// Protocol version identifier this implementation sends.
 pub const CLIENT_VERSION_DEFAULT: &str = "SSH-2.0-Go";

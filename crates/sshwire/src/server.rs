@@ -1,10 +1,10 @@
 //! Server-side SSH state machine (the honeypot's wire frontend).
 
 use crate::msg::{KexInit, Message};
-use crate::packet::PacketCodec;
-use crate::wire::{get_string, get_u32, put_string, put_u32};
+use crate::packet::{feed, split_line, PacketCodec};
+use crate::wire::get_string;
 use crate::SshError;
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use hutil::Sha256;
 
 /// Verdict for one authentication attempt.
@@ -44,18 +44,22 @@ pub const MAX_VERSION_LINE: usize = 255;
 /// The server endpoint. Feed raw bytes with [`SshServer::input`], drain
 /// output with [`SshServer::take_output`] or
 /// [`SshServer::drain_output_into`].
+///
+/// Input is decoded where it lies: only what a version line or packet
+/// leaves incomplete is buffered, and once the machine is closed its
+/// input is dropped. Output is sealed straight onto one queue.
 pub struct SshServer<H: ServerHandler> {
     handler: H,
     phase: Phase,
     tx: PacketCodec,
     rx: PacketCodec,
-    inbuf: BytesMut,
-    outbuf: BytesMut,
-    version: String,
+    /// The incomplete version line or packet the last input ended with.
+    inbuf: Vec<u8>,
+    outbuf: Vec<u8>,
     peer_version: Option<String>,
     kex_cookie: [u8; 16],
+    /// The key-exchange contribution; spent (and emptied) by the reply.
     server_nonce: Vec<u8>,
-    client_nonce: Option<Vec<u8>>,
     session_key: Option<[u8; 32]>,
     /// Username that successfully authenticated, if any.
     authenticated_user: Option<String>,
@@ -67,30 +71,28 @@ pub struct SshServer<H: ServerHandler> {
 }
 
 impl<H: ServerHandler> SshServer<H> {
-    /// Creates a server with deterministic key-exchange material.
+    /// Creates a server with deterministic key-exchange material. The
+    /// identification string `version` goes out at once (RFC 4253 §4.2).
     pub fn new(handler: H, version: &str, kex_cookie: [u8; 16], server_nonce: Vec<u8>) -> Self {
-        let mut s = Self {
+        let mut outbuf = Vec::with_capacity(version.len() + 2);
+        outbuf.extend_from_slice(version.as_bytes());
+        outbuf.extend_from_slice(b"\r\n");
+        Self {
             handler,
             phase: Phase::VersionExchange,
             tx: PacketCodec::new(),
             rx: PacketCodec::new(),
-            inbuf: BytesMut::new(),
-            outbuf: BytesMut::new(),
-            version: version.to_string(),
+            inbuf: Vec::new(),
+            outbuf,
             peer_version: None,
             kex_cookie,
             server_nonce,
-            client_nonce: None,
             session_key: None,
             authenticated_user: None,
             auth_log: Vec::new(),
             exec_log: Vec::new(),
             open_channel: None,
-        };
-        // Identification string goes out immediately (RFC 4253 §4.2).
-        s.outbuf.extend_from_slice(s.version.as_bytes());
-        s.outbuf.extend_from_slice(b"\r\n");
-        s
+        }
     }
 
     /// The peer's identification string once received.
@@ -118,9 +120,11 @@ impl<H: ServerHandler> SshServer<H> {
         self.phase == Phase::Closed
     }
 
-    /// Drains bytes queued for the peer.
+    /// Drains bytes queued for the peer. The queue keeps its allocation.
     pub fn take_output(&mut self) -> Bytes {
-        self.outbuf.split().freeze()
+        let out = Bytes::from(&self.outbuf[..]);
+        self.outbuf.clear();
+        out
     }
 
     /// Appends the bytes queued for the peer to `out` and empties the
@@ -140,72 +144,78 @@ impl<H: ServerHandler> SshServer<H> {
 
     /// Feeds raw bytes from the peer, advancing the state machine as far as
     /// possible. On error the connection is closed (as a real server would
-    /// tear it down).
+    /// tear it down). A closed machine drops its input.
     pub fn input(&mut self, data: &[u8]) -> Result<(), SshError> {
-        self.inbuf.extend_from_slice(data);
-        let r = self.pump();
+        if self.phase == Phase::Closed {
+            return Ok(());
+        }
+        let mut pending = std::mem::take(&mut self.inbuf);
+        let r = feed(&mut pending, data, |bytes| self.consume(bytes));
         if r.is_err() {
             self.phase = Phase::Closed;
+        }
+        if self.phase != Phase::Closed {
+            self.inbuf = pending;
         }
         r
     }
 
-    fn pump(&mut self) -> Result<(), SshError> {
+    /// Handles every complete version line or packet at the front of
+    /// `buf`. Returns how many bytes that used: all of them once the
+    /// machine is closed, since a closed machine drops its input.
+    fn consume(&mut self, buf: &[u8]) -> Result<usize, SshError> {
+        let mut used = 0;
         loop {
+            let rest = &buf[used..];
             match self.phase {
-                Phase::Closed => return Ok(()),
+                Phase::Closed => return Ok(buf.len()),
                 Phase::VersionExchange => {
-                    let window = &self.inbuf[..self.inbuf.len().min(MAX_VERSION_LINE)];
-                    if !window.contains(&b'\n') {
-                        if self.inbuf.len() >= MAX_VERSION_LINE {
+                    let window = &rest[..rest.len().min(MAX_VERSION_LINE)];
+                    let Some((line, len)) = split_line(window) else {
+                        if rest.len() >= MAX_VERSION_LINE {
                             return Err(SshError::BadVersionExchange(format!(
                                 "no line end within {MAX_VERSION_LINE} bytes"
                             )));
                         }
-                        return Ok(());
-                    }
-                    let line = take_line(&mut self.inbuf).expect("line end found above");
+                        return Ok(used);
+                    };
+                    let line = String::from_utf8_lossy(line).into_owned();
                     if !line.starts_with("SSH-2.0-") {
                         return Err(SshError::BadVersionExchange(line));
                     }
+                    used += len;
                     self.peer_version = Some(line);
                     // Kick off negotiation.
-                    self.send(Message::KexInit(KexInit::default_with_cookie(
+                    self.send(&Message::KexInit(KexInit::default_with_cookie(
                         self.kex_cookie,
                     )));
                     self.phase = Phase::Kex;
                 }
                 _ => {
-                    let Some(payload) = self.rx.open(&mut self.inbuf)? else {
-                        return Ok(());
+                    let Some((payload, len)) = self.rx.open(rest)? else {
+                        return Ok(used);
                     };
-                    let msg = Message::decode(payload)?;
-                    self.handle(msg)?;
+                    self.handle(Message::decode(payload)?)?;
+                    used += len;
                 }
             }
         }
     }
 
-    fn send(&mut self, msg: Message) {
-        let payload = msg.encode();
-        let wire = self.tx.seal(&payload);
-        self.outbuf.extend_from_slice(&wire);
-        // NEWKEYS takes effect for *subsequent* outgoing packets.
-        if matches!(msg, Message::NewKeys) {
-            let key = self.session_key.expect("session key before NEWKEYS");
-            self.tx.enable_integrity(key);
-        }
+    /// Seals `msg` onto the output queue.
+    fn send(&mut self, msg: &Message<'_>) {
+        self.tx.seal(&mut self.outbuf, |b| msg.encode_into(b));
     }
 
     fn disconnect(&mut self, code: u32, why: &str) {
-        self.send(Message::Disconnect {
+        self.send(&Message::Disconnect {
             code,
-            description: why.to_string(),
+            description: why,
         });
         self.phase = Phase::Closed;
     }
 
-    fn handle(&mut self, msg: Message) -> Result<(), SshError> {
+    fn handle(&mut self, msg: Message<'_>) -> Result<(), SshError> {
         match (self.phase, msg) {
             // A client may disconnect at any point.
             (_, Message::Disconnect { .. }) => {
@@ -217,16 +227,17 @@ impl<H: ServerHandler> SshServer<H> {
                 Ok(())
             }
             (Phase::KexDh, Message::KexdhInit { e }) => {
-                self.client_nonce = Some(e.to_vec());
-                let key = derive_session_key(&e, &self.server_nonce);
+                let nonce = std::mem::take(&mut self.server_nonce);
+                let key = derive_session_key(e, &nonce);
                 self.session_key = Some(key);
-                let nonce = Bytes::from(self.server_nonce.clone());
-                self.send(Message::KexdhReply {
-                    host_key: Bytes::from_static(b"sim-ed25519-hostkey"),
-                    f: nonce,
-                    signature: Bytes::from_static(b"sim-signature"),
+                self.send(&Message::KexdhReply {
+                    host_key: b"sim-ed25519-hostkey",
+                    f: &nonce,
+                    signature: b"sim-signature",
                 });
-                self.send(Message::NewKeys);
+                self.send(&Message::NewKeys);
+                // NEWKEYS takes effect for *subsequent* outgoing packets.
+                self.tx.enable_integrity(key);
                 self.phase = Phase::AwaitNewKeys;
                 Ok(())
             }
@@ -240,7 +251,7 @@ impl<H: ServerHandler> SshServer<H> {
                 if name != "ssh-userauth" {
                     return Err(SshError::Protocol(format!("unexpected service {name}")));
                 }
-                self.send(Message::ServiceAccept(name));
+                self.send(&Message::ServiceAccept(name));
                 Ok(())
             }
             (
@@ -254,30 +265,31 @@ impl<H: ServerHandler> SshServer<H> {
                 if service != "ssh-connection" {
                     return Err(SshError::Protocol(format!("unexpected service {service}")));
                 }
-                let outcome = self.handler.auth(&username, password.as_deref());
+                let outcome = self.handler.auth(username, password);
                 let accepted = outcome == AuthOutcome::Accept;
-                self.auth_log.push((username.clone(), password, accepted));
+                self.auth_log
+                    .push((username.to_string(), password.map(str::to_string), accepted));
                 if accepted {
-                    self.authenticated_user = Some(username);
-                    self.send(Message::UserauthSuccess);
+                    self.authenticated_user = Some(username.to_string());
+                    self.send(&Message::UserauthSuccess);
                     self.phase = Phase::Connected;
                 } else {
-                    self.send(Message::UserauthFailure {
-                        methods: vec!["password".into()],
+                    self.send(&Message::UserauthFailure {
+                        methods: "password",
                     });
                 }
                 Ok(())
             }
             (Phase::Connected, Message::ChannelOpen { kind, sender, .. }) => {
                 if kind != "session" || self.open_channel.is_some() {
-                    self.send(Message::ChannelOpenFailure {
+                    self.send(&Message::ChannelOpenFailure {
                         recipient: sender,
                         code: 2,
                     });
                     return Ok(());
                 }
                 self.open_channel = Some(sender);
-                self.send(Message::ChannelOpenConfirmation {
+                self.send(&Message::ChannelOpenConfirmation {
                     recipient: sender,
                     sender: 0,
                     window: 1 << 20,
@@ -299,41 +311,38 @@ impl<H: ServerHandler> SshServer<H> {
                 };
                 if kind != "exec" {
                     if want_reply {
-                        self.send(Message::ChannelFailure {
+                        self.send(&Message::ChannelFailure {
                             recipient: client_chan,
                         });
                     }
                     return Ok(());
                 }
                 let mut p = payload;
-                let cmd_raw = get_string(&mut p)?;
-                let command = String::from_utf8_lossy(&cmd_raw).into_owned();
-                self.exec_log.push(command.clone());
+                let command = String::from_utf8_lossy(get_string(&mut p)?).into_owned();
                 if want_reply {
-                    self.send(Message::ChannelSuccess {
+                    self.send(&Message::ChannelSuccess {
                         recipient: client_chan,
                     });
                 }
                 let (output, status) = self.handler.exec(&command);
+                self.exec_log.push(command);
                 if !output.is_empty() {
-                    self.send(Message::ChannelData {
+                    self.send(&Message::ChannelData {
                         recipient: client_chan,
-                        data: Bytes::from(output),
+                        data: &output,
                     });
                 }
                 // exit-status, EOF, close — the usual server-side teardown.
-                let mut st = BytesMut::new();
-                put_u32(&mut st, status);
-                self.send(Message::ChannelRequest {
+                self.send(&Message::ChannelRequest {
                     recipient: client_chan,
-                    kind: "exit-status".into(),
+                    kind: "exit-status",
                     want_reply: false,
-                    payload: st.freeze(),
+                    payload: &status.to_be_bytes(),
                 });
-                self.send(Message::ChannelEof {
+                self.send(&Message::ChannelEof {
                     recipient: client_chan,
                 });
-                self.send(Message::ChannelClose {
+                self.send(&Message::ChannelClose {
                     recipient: client_chan,
                 });
                 // One exec per session channel: the channel is done once the
@@ -363,29 +372,6 @@ pub(crate) fn derive_session_key(client_nonce: &[u8], server_nonce: &[u8]) -> [u
     h.update(client_nonce);
     h.update(server_nonce);
     h.finalize()
-}
-
-/// Extracts one `\n`-terminated line (stripping `\r`) from `buf`.
-pub(crate) fn take_line(buf: &mut BytesMut) -> Option<String> {
-    let pos = buf.iter().position(|&b| b == b'\n')?;
-    let line = buf.split_to(pos + 1);
-    let mut s = String::from_utf8_lossy(&line[..pos]).into_owned();
-    if s.ends_with('\r') {
-        s.pop();
-    }
-    Some(s)
-}
-
-// Re-used by the client for exec payload construction.
-pub(crate) fn exec_payload(command: &str) -> Bytes {
-    let mut b = BytesMut::new();
-    put_string(&mut b, command.as_bytes());
-    b.freeze()
-}
-
-pub(crate) fn parse_exit_status(payload: &Bytes) -> Result<u32, SshError> {
-    let mut p = payload.clone();
-    get_u32(&mut p)
 }
 
 #[cfg(test)]
@@ -429,6 +415,17 @@ mod tests {
         for _ in 1..64 {
             assert!(s.input(&chunk).is_ok(), "a closed machine ignores input");
         }
+        assert!(s.inbuf.is_empty(), "a closed machine buffers nothing");
+
+        // Likewise when the line fails after part of it was buffered.
+        let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
+        s.input(&chunk[..200]).unwrap();
+        assert_eq!(s.inbuf.len(), 200, "an incomplete line waits");
+        assert!(s.input(&chunk[..200]).is_err());
+        for _ in 0..64 {
+            s.input(&[b'A'; 16 * 1024]).unwrap();
+        }
+        assert_eq!(s.inbuf.capacity(), 0, "a closed machine buffers nothing");
 
         // Byte by byte, the failure comes with the 255th byte, not before.
         let mut s = SshServer::new(NullHandler, "SSH-2.0-Test", [0; 16], vec![1]);
@@ -492,14 +489,6 @@ mod tests {
             held < crate::packet::MAX_PACKET,
             "wire buffers hold {held} bytes after moving {moved}"
         );
-    }
-
-    #[test]
-    fn take_line_handles_crlf_and_partial() {
-        let mut b = BytesMut::from(&b"SSH-2.0-x\r\nrest"[..]);
-        assert_eq!(take_line(&mut b).as_deref(), Some("SSH-2.0-x"));
-        assert_eq!(&b[..], b"rest");
-        assert_eq!(take_line(&mut b), None);
     }
 
     #[test]

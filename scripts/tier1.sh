@@ -45,6 +45,9 @@ done
 echo "== tier1: clippy (deny warnings) =="
 cargo clippy --all-targets --workspace -- -D warnings
 
+echo "== tier1: rustdoc (deny warnings: broken and private intra-doc links) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== tier1: bench smoke (all seven targets: asserts and equivalence gates, tiny dataset, one call per id) =="
 cargo bench -p honeylab-bench -- --smoke
 

@@ -225,11 +225,11 @@ proptest! {
             tx.enable_integrity(key);
             rx.enable_integrity(key);
         }
-        let wire = tx.seal(&payload);
-        let mut buf = honeylab::sshwire::bytes_mut_from(&wire);
-        let got = rx.open(&mut buf).unwrap().expect("complete packet");
-        prop_assert_eq!(&got[..], &payload[..]);
-        prop_assert!(buf.is_empty());
+        let mut wire = Vec::new();
+        tx.seal(&mut wire, |b| b.extend_from_slice(&payload));
+        let (got, len) = rx.open(&wire).unwrap().expect("complete packet");
+        prop_assert_eq!(got, &payload[..]);
+        prop_assert_eq!(len, wire.len());
     }
 }
 
