@@ -1,6 +1,7 @@
-//! sessiondb storage benches: write throughput, cold out-of-core scans,
-//! and the zone-map win — a one-month window scan against the obvious
-//! baseline of re-parsing the whole Cowrie JSON log and filtering.
+//! sessiondb storage benches: write throughput, cold out-of-core scans
+//! (owned records, and rows folded in place), and the zone-map win — a
+//! one-month window scan against the obvious baseline of re-parsing the
+//! whole Cowrie JSON log and filtering.
 //!
 //! The store is built once per bench binary from the shared dataset; the
 //! cold-scan benches reopen it every iteration so segment metadata loading
@@ -61,6 +62,15 @@ fn bench_cold_scan(bench: &mut Bench) {
             .records()
             .inspect(|r| assert!(r.is_ok()))
             .count()
+    });
+    // The same rows folded in place, one worker: no record per row.
+    bench.time("sessiondb_fold_scan", 12, || {
+        let store = Store::open(dir).expect("open store");
+        store
+            .par_scan_map(1, |_| 0u64, |rows, _| *rows += 1)
+            .expect("clean store")
+            .iter()
+            .sum::<u64>()
     });
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())

@@ -37,6 +37,11 @@
 //! exactly why partials merge in ascending partition order — the merged
 //! event sequence is the serial sequence. The parallel result is
 //! byte-identical to `threads(1)`, for any thread count.
+//!
+//! A store is always partitioned by segment, serial or not: its source
+//! runs through `sessiondb::Store::par_scan_map`, which rebuilds each row
+//! in place into one reused record and hands it to the segment's
+//! partial, so the pass builds no record per row.
 
 use crate::classify::Classifier;
 use crate::logins::{CowrieDefaultProbes, ProbeAccumulator, TopPasswords, TopPasswordsAccumulator};
@@ -390,28 +395,16 @@ impl<'a> AnalysisBuilder<'a> {
         let acc = match self.source {
             SessionSource::Memory(slice) => fold_slice(slice, self.threads, &make),
             SessionSource::Store(store) => {
-                if self.threads <= 1 {
-                    let mut acc = make();
-                    for rec in store.scan().records() {
-                        acc.push(&rec?);
-                    }
-                    acc
-                } else {
-                    // One partial per segment, returned in segment order
-                    // regardless of which worker decoded it.
-                    let parts = store.par_scan_map(self.threads, |_, batch| {
-                        let mut acc = make();
-                        for rec in &batch {
-                            acc.push(rec);
-                        }
-                        acc
-                    })?;
-                    let mut acc = make();
-                    for part in parts {
-                        acc.merge(part);
-                    }
-                    acc
+                // One partial per segment, folded from rows rebuilt in
+                // place and returned in segment order whichever worker
+                // folded it; with one thread the one worker folds them all.
+                let parts =
+                    store.par_scan_map(self.threads, |_| make(), |acc, rec| acc.push(rec))?;
+                let mut acc = make();
+                for part in parts {
+                    acc.merge(part);
                 }
+                acc
             }
             SessionSource::CowrieLog(log) => {
                 let import = from_cowrie_log_lossy(log);

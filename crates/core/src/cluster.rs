@@ -184,8 +184,8 @@ fn fill_rows(
 /// Tiled parallel build: the triangle is cut into row blocks of roughly
 /// equal *cell* count (fixed-height blocks load-balance badly once only
 /// the triangle is computed — early rows are long, late rows short), and
-/// workers pull blocks off an atomic cursor, same pattern as
-/// `sessiondb::par_scan_map`. Each worker reuses one DP scratch across
+/// workers pull blocks off an atomic cursor, as `sessiondb::Store`'s
+/// parallel scans pull segments. Each worker reuses one DP scratch across
 /// every pair it computes.
 fn build_tiled(ids: &[Vec<u32>], d: &mut [f64], threads: usize, cap: Option<f64>) {
     let n = ids.len();

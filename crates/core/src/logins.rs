@@ -37,12 +37,20 @@ impl TopPasswordsAccumulator {
         }
     }
 
-    /// Folds one session in.
+    /// Folds one session in. The password is looked up before it is
+    /// copied: only the first session with a password pays for its key.
     pub fn push(&mut self, rec: &SessionRecord) {
-        if let Some(pw) = rec.accepted_password() {
-            let slot = self.per_pw.entry(pw.to_string()).or_default();
+        let Some(pw) = rec.accepted_password() else {
+            return;
+        };
+        let month = rec.start.date().month_of();
+        let bump = |slot: &mut PwStats| {
             slot.0 += 1;
-            *slot.1.entry(rec.start.date().month_of()).or_default() += 1;
+            *slot.1.entry(month).or_default() += 1;
+        };
+        match self.per_pw.get_mut(pw) {
+            Some(slot) => bump(slot),
+            None => bump(self.per_pw.entry(pw.to_string()).or_default()),
         }
     }
 

@@ -537,6 +537,8 @@ pub struct ClassificationAccumulator<'c> {
     counts: HashMap<&'static str, u64>,
     total: u64,
     known: u64,
+    /// The command text being classified, reused from session to session.
+    text: String,
 }
 
 impl<'c> ClassificationAccumulator<'c> {
@@ -547,6 +549,7 @@ impl<'c> ClassificationAccumulator<'c> {
             counts: HashMap::new(),
             total: 0,
             known: 0,
+            text: String::new(),
         }
     }
 
@@ -556,7 +559,8 @@ impl<'c> ClassificationAccumulator<'c> {
             return;
         }
         self.total += 1;
-        let label = self.cl.classify(&s.command_text());
+        s.command_text_into(&mut self.text);
+        let label = self.cl.classify(&self.text);
         if label != crate::classify::UNKNOWN_LABEL {
             self.known += 1;
         }

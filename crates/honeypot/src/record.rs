@@ -198,13 +198,20 @@ impl SessionRecord {
     /// the paper classifies per session on the concatenation.
     pub fn command_text(&self) -> String {
         let mut s = String::new();
+        self.command_text_into(&mut s);
+        s
+    }
+
+    /// [`SessionRecord::command_text`] written over `out`, so a caller
+    /// that classifies session after session reuses one buffer.
+    pub fn command_text_into(&self, out: &mut String) {
+        out.clear();
         for (i, c) in self.commands.iter().enumerate() {
             if i > 0 {
-                s.push('\n');
+                out.push('\n');
             }
-            s.push_str(&c.input);
+            out.push_str(&c.input);
         }
-        s
     }
 
     /// Session duration in seconds.

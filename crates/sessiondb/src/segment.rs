@@ -67,6 +67,11 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
+    /// The next `count` values of `width` bytes each, as one slice.
+    pub(crate) fn column(&mut self, count: usize, width: usize) -> Result<&'a [u8], String> {
+        self.take(count.checked_mul(width).ok_or("length overflow")?)
+    }
+
     pub(crate) fn u16(&mut self) -> Result<u16, String> {
         Ok(u16::from_le_bytes(
             self.take(2)?.try_into().expect("2 bytes"),
@@ -132,46 +137,6 @@ impl Interner {
             out.extend_from_slice(s.as_bytes());
         }
         out
-    }
-}
-
-/// Read-side dictionary.
-struct Dictionary {
-    strings: Vec<String>,
-}
-
-impl Dictionary {
-    fn decode(payload: &[u8]) -> Result<Self, String> {
-        let mut c = Cursor::new(payload);
-        let n = c.u32()? as usize;
-        let mut strings = Vec::with_capacity(n.min(payload.len() / 4));
-        for i in 0..n {
-            let len = c.u32()? as usize;
-            let bytes = c.take(len)?;
-            let s = std::str::from_utf8(bytes)
-                .map_err(|e| format!("dictionary entry {i} is not UTF-8: {e}"))?;
-            strings.push(s.to_string());
-        }
-        if !c.done() {
-            return Err("trailing bytes after dictionary".to_string());
-        }
-        Ok(Self { strings })
-    }
-
-    fn get(&self, id: u32) -> Result<&str, String> {
-        self.strings
-            .get(id as usize)
-            .map(String::as_str)
-            .ok_or_else(|| format!("dictionary id {id} out of range ({})", self.strings.len()))
-    }
-
-    /// Inverse of [`Interner::intern_opt`].
-    fn get_opt(&self, id: u32) -> Result<Option<&str>, String> {
-        if id == 0 {
-            Ok(None)
-        } else {
-            self.get(id - 1).map(Some)
-        }
     }
 }
 
@@ -353,211 +318,6 @@ impl Columns {
     }
 }
 
-/// Decodes a rows payload back into records, resolving dictionary ids.
-fn decode_rows(payload: &[u8], dict: &Dictionary) -> Result<Vec<SessionRecord>, String> {
-    let mut c = Cursor::new(payload);
-    let n = c.u32()? as usize;
-    let mut session_id = Vec::with_capacity(n);
-    for _ in 0..n {
-        session_id.push(c.u64()?);
-    }
-    let mut honeypot_id = Vec::with_capacity(n);
-    for _ in 0..n {
-        honeypot_id.push(c.u16()?);
-    }
-    let mut honeypot_ip = Vec::with_capacity(n);
-    for _ in 0..n {
-        honeypot_ip.push(c.u32()?);
-    }
-    let mut client_ip = Vec::with_capacity(n);
-    for _ in 0..n {
-        client_ip.push(c.u32()?);
-    }
-    let mut client_port = Vec::with_capacity(n);
-    for _ in 0..n {
-        client_port.push(c.u16()?);
-    }
-    let protocol = c.take(n)?.to_vec();
-    let mut start = Vec::with_capacity(n);
-    for _ in 0..n {
-        start.push(c.i64()?);
-    }
-    let mut end = Vec::with_capacity(n);
-    for _ in 0..n {
-        end.push(c.i64()?);
-    }
-    let end_reason = c.take(n)?.to_vec();
-    let mut client_version = Vec::with_capacity(n);
-    for _ in 0..n {
-        client_version.push(c.u32()?);
-    }
-
-    let mut login_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        login_len.push(c.u32()? as usize);
-    }
-    let login_total = c.u32()? as usize;
-    if login_len.iter().sum::<usize>() != login_total {
-        return Err("login column lengths disagree with total".to_string());
-    }
-    let mut login_user = Vec::with_capacity(login_total);
-    for _ in 0..login_total {
-        login_user.push(c.u32()?);
-    }
-    let mut login_pass = Vec::with_capacity(login_total);
-    for _ in 0..login_total {
-        login_pass.push(c.u32()?);
-    }
-    let login_ok = c.take(login_total)?.to_vec();
-
-    let mut cmd_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        cmd_len.push(c.u32()? as usize);
-    }
-    let cmd_total = c.u32()? as usize;
-    if cmd_len.iter().sum::<usize>() != cmd_total {
-        return Err("command column lengths disagree with total".to_string());
-    }
-    let mut cmd_input = Vec::with_capacity(cmd_total);
-    for _ in 0..cmd_total {
-        cmd_input.push(c.u32()?);
-    }
-    let cmd_known = c.take(cmd_total)?.to_vec();
-
-    let mut uri_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        uri_len.push(c.u32()? as usize);
-    }
-    let uri_total = c.u32()? as usize;
-    if uri_len.iter().sum::<usize>() != uri_total {
-        return Err("uri column lengths disagree with total".to_string());
-    }
-    let mut uri = Vec::with_capacity(uri_total);
-    for _ in 0..uri_total {
-        uri.push(c.u32()?);
-    }
-
-    let mut fe_len = Vec::with_capacity(n);
-    for _ in 0..n {
-        fe_len.push(c.u32()? as usize);
-    }
-    let fe_total = c.u32()? as usize;
-    if fe_len.iter().sum::<usize>() != fe_total {
-        return Err("file-event column lengths disagree with total".to_string());
-    }
-    let mut fe_path = Vec::with_capacity(fe_total);
-    for _ in 0..fe_total {
-        fe_path.push(c.u32()?);
-    }
-    let fe_tag = c.take(fe_total)?.to_vec();
-    let hash_total = c.u32()? as usize;
-    let expect_hashes = fe_tag
-        .iter()
-        .filter(|&&t| matches!(t, OP_CREATED | OP_MODIFIED | OP_EXEC_HASH))
-        .count();
-    if hash_total != expect_hashes {
-        return Err("file-event hash count disagrees with op tags".to_string());
-    }
-    let mut fe_hash = Vec::with_capacity(hash_total);
-    for _ in 0..hash_total {
-        fe_hash.push(c.u32()?);
-    }
-    let mut fe_src = Vec::with_capacity(fe_total);
-    for _ in 0..fe_total {
-        fe_src.push(c.u32()?);
-    }
-    if !c.done() {
-        return Err("trailing bytes after row columns".to_string());
-    }
-
-    // Reassemble.
-    let mut out = Vec::with_capacity(n);
-    let (mut li, mut ci, mut ui, mut fi, mut hi) = (0usize, 0usize, 0usize, 0usize, 0usize);
-    for r in 0..n {
-        let logins = (0..login_len[r])
-            .map(|_| {
-                let l = LoginAttempt {
-                    username: dict.get(login_user[li])?.to_string(),
-                    password: dict.get(login_pass[li])?.to_string(),
-                    success: login_ok[li] != 0,
-                };
-                li += 1;
-                Ok(l)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let commands = (0..cmd_len[r])
-            .map(|_| {
-                let cr = CommandRecord {
-                    input: dict.get(cmd_input[ci])?.to_string(),
-                    known: cmd_known[ci] != 0,
-                };
-                ci += 1;
-                Ok(cr)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let uris = (0..uri_len[r])
-            .map(|_| {
-                let s = dict.get(uri[ui])?.to_string();
-                ui += 1;
-                Ok(s)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-        let file_events = (0..fe_len[r])
-            .map(|_| {
-                let mut hash = || {
-                    let h = dict.get(fe_hash[hi])?.to_string();
-                    hi += 1;
-                    Ok::<String, String>(h)
-                };
-                let op = match fe_tag[fi] {
-                    OP_CREATED => FileOp::Created { sha256: hash()? },
-                    OP_MODIFIED => FileOp::Modified { sha256: hash()? },
-                    OP_DELETED => FileOp::Deleted,
-                    OP_EXEC_HASH => FileOp::ExecAttempt {
-                        sha256: Some(hash()?),
-                    },
-                    OP_EXEC_MISSING => FileOp::ExecAttempt { sha256: None },
-                    OP_DOWNLOAD_FAILED => FileOp::DownloadFailed,
-                    t => return Err(format!("unknown file-op tag {t}")),
-                };
-                let ev = FileEvent {
-                    path: dict.get(fe_path[fi])?.to_string(),
-                    op,
-                    source_uri: dict.get_opt(fe_src[fi])?.map(str::to_string),
-                };
-                fi += 1;
-                Ok(ev)
-            })
-            .collect::<Result<Vec<_>, String>>()?;
-
-        out.push(SessionRecord {
-            session_id: session_id[r],
-            honeypot_id: honeypot_id[r],
-            honeypot_ip: Ipv4Addr(honeypot_ip[r]),
-            client_ip: Ipv4Addr(client_ip[r]),
-            client_port: client_port[r],
-            protocol: match protocol[r] {
-                0 => Protocol::Ssh,
-                1 => Protocol::Telnet,
-                t => return Err(format!("unknown protocol tag {t}")),
-            },
-            start: DateTime::from_unix(start[r]),
-            end: DateTime::from_unix(end[r]),
-            end_reason: match end_reason[r] {
-                0 => SessionEndReason::ClientClose,
-                1 => SessionEndReason::Timeout,
-                t => return Err(format!("unknown end-reason tag {t}")),
-            },
-            client_version: dict.get_opt(client_version[r])?.map(str::to_string),
-            logins,
-            commands,
-            uris,
-            file_events,
-        });
-    }
-    Ok(out)
-}
-
 // --- segment metadata ----------------------------------------------------
 
 /// What a segment's header + footer reveal without reading its blocks.
@@ -688,12 +448,388 @@ pub(crate) fn sync_dir(dir: &std::path::Path) -> Result<(), SessionDbError> {
 
 // --- reader --------------------------------------------------------------
 
+/// Read-side dictionary: every entry borrows from the dictionary block's
+/// payload, so resolving an id copies nothing until a row is rebuilt.
+struct Dictionary<'a> {
+    strings: Vec<&'a str>,
+}
+
+impl<'a> Dictionary<'a> {
+    fn decode(payload: &'a [u8]) -> Result<Self, String> {
+        let mut c = Cursor::new(payload);
+        let n = c.u32()? as usize;
+        let mut strings = Vec::with_capacity(n.min(payload.len() / 4));
+        for i in 0..n {
+            let len = c.u32()? as usize;
+            let bytes = c.take(len)?;
+            let s = std::str::from_utf8(bytes)
+                .map_err(|e| format!("dictionary entry {i} is not UTF-8: {e}"))?;
+            strings.push(s);
+        }
+        if !c.done() {
+            return Err("trailing bytes after dictionary".to_string());
+        }
+        Ok(Self { strings })
+    }
+}
+
+fn u16_at(col: &[u8], i: usize) -> u16 {
+    u16::from_le_bytes(col[2 * i..2 * i + 2].try_into().expect("2 bytes"))
+}
+
+fn u32_at(col: &[u8], i: usize) -> u32 {
+    u32::from_le_bytes(col[4 * i..4 * i + 4].try_into().expect("4 bytes"))
+}
+
+fn u64_at(col: &[u8], i: usize) -> u64 {
+    u64::from_le_bytes(col[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+}
+
+fn i64_at(col: &[u8], i: usize) -> i64 {
+    i64::from_le_bytes(col[8 * i..8 * i + 8].try_into().expect("8 bytes"))
+}
+
+/// Checks that a per-row length column sums to its stored total.
+fn check_total(lens: &[u8], total: usize, what: &str) -> Result<(), String> {
+    let sum: u64 = lens
+        .chunks_exact(4)
+        .map(|b| u64::from(u32::from_le_bytes(b.try_into().expect("4 bytes"))))
+        .sum();
+    if sum != total as u64 {
+        return Err(format!("{what} column lengths disagree with total"));
+    }
+    Ok(())
+}
+
+/// Checks that every byte of a tag column is at most `max`.
+fn check_tags(tags: &[u8], max: u8, what: &str) -> Result<(), String> {
+    match tags.iter().find(|&&t| t > max) {
+        Some(t) => Err(format!("unknown {what} tag {t}")),
+        None => Ok(()),
+    }
+}
+
+/// Checks that every id in a u32 column is below `limit`.
+fn check_ids(ids: &[u8], limit: usize) -> Result<(), String> {
+    let max = ids
+        .chunks_exact(4)
+        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")))
+        .max();
+    match max {
+        Some(id) if id as usize >= limit => {
+            Err(format!("dictionary id {id} out of range ({limit} entries)"))
+        }
+        _ => Ok(()),
+    }
+}
+
+/// A rows block laid over its payload, one slice per column, with the
+/// dictionary its ids resolve in. [`RowsBlock::parse`] checks every
+/// length, tag and dictionary id before the first row is rebuilt, so
+/// rebuilding cannot fail and a corrupt segment hands out no row.
+struct RowsBlock<'a> {
+    dict: Dictionary<'a>,
+    n: usize,
+    session_id: &'a [u8],
+    honeypot_id: &'a [u8],
+    honeypot_ip: &'a [u8],
+    client_ip: &'a [u8],
+    client_port: &'a [u8],
+    protocol: &'a [u8],
+    start: &'a [u8],
+    end: &'a [u8],
+    end_reason: &'a [u8],
+    client_version: &'a [u8],
+    login_len: &'a [u8],
+    login_user: &'a [u8],
+    login_pass: &'a [u8],
+    login_ok: &'a [u8],
+    cmd_len: &'a [u8],
+    cmd_input: &'a [u8],
+    cmd_known: &'a [u8],
+    uri_len: &'a [u8],
+    uri: &'a [u8],
+    fe_len: &'a [u8],
+    fe_path: &'a [u8],
+    fe_tag: &'a [u8],
+    fe_hash: &'a [u8],
+    fe_src: &'a [u8],
+}
+
+impl<'a> RowsBlock<'a> {
+    /// Lays the columns [`Columns::encode`] wrote over `payload` and
+    /// checks them against `dict`.
+    fn parse(payload: &'a [u8], dict: Dictionary<'a>) -> Result<Self, String> {
+        let mut c = Cursor::new(payload);
+        let n = c.u32()? as usize;
+        let session_id = c.column(n, 8)?;
+        let honeypot_id = c.column(n, 2)?;
+        let honeypot_ip = c.column(n, 4)?;
+        let client_ip = c.column(n, 4)?;
+        let client_port = c.column(n, 2)?;
+        let protocol = c.take(n)?;
+        let start = c.column(n, 8)?;
+        let end = c.column(n, 8)?;
+        let end_reason = c.take(n)?;
+        let client_version = c.column(n, 4)?;
+
+        let login_len = c.column(n, 4)?;
+        let login_total = c.u32()? as usize;
+        check_total(login_len, login_total, "login")?;
+        let login_user = c.column(login_total, 4)?;
+        let login_pass = c.column(login_total, 4)?;
+        let login_ok = c.take(login_total)?;
+
+        let cmd_len = c.column(n, 4)?;
+        let cmd_total = c.u32()? as usize;
+        check_total(cmd_len, cmd_total, "command")?;
+        let cmd_input = c.column(cmd_total, 4)?;
+        let cmd_known = c.take(cmd_total)?;
+
+        let uri_len = c.column(n, 4)?;
+        let uri_total = c.u32()? as usize;
+        check_total(uri_len, uri_total, "uri")?;
+        let uri = c.column(uri_total, 4)?;
+
+        let fe_len = c.column(n, 4)?;
+        let fe_total = c.u32()? as usize;
+        check_total(fe_len, fe_total, "file-event")?;
+        let fe_path = c.column(fe_total, 4)?;
+        let fe_tag = c.take(fe_total)?;
+        let hash_total = c.u32()? as usize;
+        let expect_hashes = fe_tag
+            .iter()
+            .filter(|&&t| matches!(t, OP_CREATED | OP_MODIFIED | OP_EXEC_HASH))
+            .count();
+        if hash_total != expect_hashes {
+            return Err("file-event hash count disagrees with op tags".to_string());
+        }
+        let fe_hash = c.column(hash_total, 4)?;
+        let fe_src = c.column(fe_total, 4)?;
+        if !c.done() {
+            return Err("trailing bytes after row columns".to_string());
+        }
+
+        check_tags(protocol, 1, "protocol")?;
+        check_tags(end_reason, 1, "end-reason")?;
+        check_tags(fe_tag, OP_DOWNLOAD_FAILED, "file-op")?;
+        let entries = dict.strings.len();
+        for ids in [login_user, login_pass, cmd_input, uri, fe_path, fe_hash] {
+            check_ids(ids, entries)?;
+        }
+        // Optional strings store id + 1, with 0 for `None`.
+        for ids in [client_version, fe_src] {
+            check_ids(ids, entries + 1)?;
+        }
+        Ok(Self {
+            dict,
+            n,
+            session_id,
+            honeypot_id,
+            honeypot_ip,
+            client_ip,
+            client_port,
+            protocol,
+            start,
+            end,
+            end_reason,
+            client_version,
+            login_len,
+            login_user,
+            login_pass,
+            login_ok,
+            cmd_len,
+            cmd_input,
+            cmd_known,
+            uri_len,
+            uri,
+            fe_len,
+            fe_path,
+            fe_tag,
+            fe_hash,
+            fe_src,
+        })
+    }
+
+    /// Rebuilds each row in turn into `rec` and hands it to `f`. The
+    /// strings and lists `rec` holds are overwritten in place, so a row
+    /// allocates only where it needs more room than the row before.
+    fn rebuild(&self, rec: &mut SessionRecord, mut f: impl FnMut(&mut SessionRecord)) {
+        let d = &self.dict.strings;
+        let s = |col: &[u8], i: usize| d[u32_at(col, i) as usize];
+        let opt = |col: &[u8], i: usize| match u32_at(col, i) {
+            0 => None,
+            id => Some(d[id as usize - 1]),
+        };
+        let (mut li, mut ci, mut ui, mut fi, mut hi) = (0, 0, 0, 0, 0);
+        for r in 0..self.n {
+            rec.session_id = u64_at(self.session_id, r);
+            rec.honeypot_id = u16_at(self.honeypot_id, r);
+            rec.honeypot_ip = Ipv4Addr(u32_at(self.honeypot_ip, r));
+            rec.client_ip = Ipv4Addr(u32_at(self.client_ip, r));
+            rec.client_port = u16_at(self.client_port, r);
+            rec.protocol = match self.protocol[r] {
+                0 => Protocol::Ssh,
+                _ => Protocol::Telnet,
+            };
+            rec.start = DateTime::from_unix(i64_at(self.start, r));
+            rec.end = DateTime::from_unix(i64_at(self.end, r));
+            rec.end_reason = match self.end_reason[r] {
+                0 => SessionEndReason::ClientClose,
+                _ => SessionEndReason::Timeout,
+            };
+            set_opt(&mut rec.client_version, opt(self.client_version, r));
+
+            let k = u32_at(self.login_len, r) as usize;
+            refill(&mut rec.logins, k, |j, l| {
+                set(&mut l.username, s(self.login_user, li + j));
+                set(&mut l.password, s(self.login_pass, li + j));
+                l.success = self.login_ok[li + j] != 0;
+            });
+            li += k;
+
+            let k = u32_at(self.cmd_len, r) as usize;
+            refill(&mut rec.commands, k, |j, c| {
+                set(&mut c.input, s(self.cmd_input, ci + j));
+                c.known = self.cmd_known[ci + j] != 0;
+            });
+            ci += k;
+
+            let k = u32_at(self.uri_len, r) as usize;
+            refill(&mut rec.uris, k, |j, u| set(u, s(self.uri, ui + j)));
+            ui += k;
+
+            let k = u32_at(self.fe_len, r) as usize;
+            refill(&mut rec.file_events, k, |j, e| {
+                set(&mut e.path, s(self.fe_path, fi + j));
+                set_opt(&mut e.source_uri, opt(self.fe_src, fi + j));
+                let mut hash = || {
+                    let mut h = take_hash(&mut e.op);
+                    set(&mut h, s(self.fe_hash, hi));
+                    hi += 1;
+                    h
+                };
+                e.op = match self.fe_tag[fi + j] {
+                    OP_CREATED => FileOp::Created { sha256: hash() },
+                    OP_MODIFIED => FileOp::Modified { sha256: hash() },
+                    OP_DELETED => FileOp::Deleted,
+                    OP_EXEC_HASH => FileOp::ExecAttempt {
+                        sha256: Some(hash()),
+                    },
+                    OP_EXEC_MISSING => FileOp::ExecAttempt { sha256: None },
+                    _ => FileOp::DownloadFailed,
+                };
+            });
+            fi += k;
+
+            f(rec);
+        }
+    }
+}
+
+/// Overwrites `s` with `v`, keeping its allocation.
+fn set(s: &mut String, v: &str) {
+    s.clear();
+    s.push_str(v);
+}
+
+fn set_opt(slot: &mut Option<String>, v: Option<&str>) {
+    match v {
+        Some(v) => set(slot.get_or_insert_with(String::new), v),
+        None => *slot = None,
+    }
+}
+
+/// The hash string `op` carries (empty if none), left in place of it
+/// for the next op to reuse.
+fn take_hash(op: &mut FileOp) -> String {
+    match std::mem::replace(op, FileOp::Deleted) {
+        FileOp::Created { sha256 }
+        | FileOp::Modified { sha256 }
+        | FileOp::ExecAttempt {
+            sha256: Some(sha256),
+        } => sha256,
+        _ => String::new(),
+    }
+}
+
+/// Resizes `items` to `n`, keeping the first items (and the strings in
+/// them) for `fill` to overwrite, and calls `fill(j, item)` on each.
+fn refill<T: Blank>(items: &mut Vec<T>, n: usize, mut fill: impl FnMut(usize, &mut T)) {
+    items.truncate(n);
+    items.resize_with(n, T::blank);
+    for (j, item) in items.iter_mut().enumerate() {
+        fill(j, item);
+    }
+}
+
+/// An empty value for [`refill`] and the fold to overwrite.
+trait Blank {
+    fn blank() -> Self;
+}
+
+impl Blank for String {
+    fn blank() -> Self {
+        String::new()
+    }
+}
+
+impl Blank for LoginAttempt {
+    fn blank() -> Self {
+        LoginAttempt {
+            username: String::new(),
+            password: String::new(),
+            success: false,
+        }
+    }
+}
+
+impl Blank for CommandRecord {
+    fn blank() -> Self {
+        CommandRecord {
+            input: String::new(),
+            known: false,
+        }
+    }
+}
+
+impl Blank for FileEvent {
+    fn blank() -> Self {
+        FileEvent {
+            path: String::new(),
+            op: FileOp::Deleted,
+            source_uri: None,
+        }
+    }
+}
+
+impl Blank for SessionRecord {
+    fn blank() -> Self {
+        SessionRecord {
+            session_id: 0,
+            honeypot_id: 0,
+            honeypot_ip: Ipv4Addr(0),
+            client_ip: Ipv4Addr(0),
+            client_port: 0,
+            protocol: Protocol::Ssh,
+            start: DateTime::from_unix(0),
+            end: DateTime::from_unix(0),
+            end_reason: SessionEndReason::ClientClose,
+            client_version: None,
+            logins: Vec::new(),
+            commands: Vec::new(),
+            uris: Vec::new(),
+            file_events: Vec::new(),
+        }
+    }
+}
+
 /// Validates and decodes one segment file.
 ///
 /// [`SegmentReader::open`] touches only the 8-byte header and 32-byte
 /// footer (two seeks), so opening a store with thousands of segments is
-/// cheap; block payloads and their CRCs are verified by
-/// [`SegmentReader::read_all`].
+/// cheap; block payloads and their CRCs are verified when the rows are
+/// read, by [`SegmentReader::fold`] or [`SegmentReader::read_all`].
 #[derive(Debug, Clone)]
 pub struct SegmentReader {
     meta: SegmentMeta,
@@ -768,21 +904,60 @@ impl SegmentReader {
         &self.meta
     }
 
-    /// Reads and CRC-verifies every block, decoding the full batch.
+    /// Folds every row into `acc`, in order: reads the file, verifies
+    /// every block's CRC and checks every tag and dictionary id of the
+    /// rows block, then calls `step(&mut acc, row)` once per row. The rows
+    /// are rebuilt one after another into a single record whose strings
+    /// and lists are reused, so `step` sees each row only for the call.
+    /// A corrupt segment is an `Err` before `step` sees any row.
+    pub fn fold<T>(
+        &self,
+        mut acc: T,
+        mut step: impl FnMut(&mut T, &SessionRecord),
+    ) -> Result<T, SessionDbError> {
+        self.fold_rows(|rec| step(&mut acc, rec))?;
+        Ok(acc)
+    }
+
+    /// Reads and CRC-verifies every block, decoding the full batch: the
+    /// rows of [`SegmentReader::fold`], each moved out as it is built.
     pub fn read_all(&self) -> Result<Vec<SessionRecord>, SessionDbError> {
+        let mut rows = Vec::new();
+        self.fold_rows(|rec| rows.push(std::mem::replace(rec, SessionRecord::blank())))?;
+        Ok(rows)
+    }
+
+    /// The one row decoder behind [`SegmentReader::fold`] and
+    /// [`SegmentReader::read_all`].
+    fn fold_rows(&self, f: impl FnMut(&mut SessionRecord)) -> Result<(), SessionDbError> {
         let path = &self.meta.path;
         let bytes = std::fs::read(path).map_err(|e| SessionDbError::io(path, e))?;
+        let rows = self
+            .rows_block(&bytes)
+            .map_err(|d| SessionDbError::corrupt(path, d))?;
+        if let Some(rows) = rows {
+            rows.rebuild(&mut SessionRecord::blank(), f);
+        }
+        Ok(())
+    }
+
+    /// Walks the blocks of the segment file `bytes`, verifying each CRC,
+    /// and returns the rows block, checked and holding as many rows as
+    /// the footer says (`None` for a segment without one, which must be
+    /// empty). Each rows block resolves its ids in the dictionary block
+    /// before it.
+    fn rows_block<'a>(&self, bytes: &'a [u8]) -> Result<Option<RowsBlock<'a>>, String> {
         let len = bytes.len() as u64;
         if len < HEADER_LEN + FOOTER_LEN {
-            return Err(SessionDbError::corrupt(path, "file too short for a footer"));
+            return Err("file too short for a footer".to_string());
         }
         let blocks_end = (len - FOOTER_LEN) as usize;
         let mut pos = HEADER_LEN as usize;
-        let mut dict: Option<Dictionary> = None;
-        let mut rows: Option<Vec<SessionRecord>> = None;
+        let mut dict: Option<Dictionary<'a>> = None;
+        let mut rows: Option<RowsBlock<'a>> = None;
         while pos < blocks_end {
             if pos + 5 > blocks_end {
-                return Err(SessionDbError::corrupt(path, "truncated block header"));
+                return Err("truncated block header".to_string());
             }
             let tag = bytes[pos];
             let plen =
@@ -790,48 +965,32 @@ impl SegmentReader {
             let body_start = pos + 5;
             let body_end = body_start
                 .checked_add(plen)
-                .ok_or_else(|| SessionDbError::corrupt(path, "block length overflow"))?;
+                .ok_or("block length overflow")?;
             if body_end + 4 > blocks_end {
-                return Err(SessionDbError::corrupt(path, "block overruns footer"));
+                return Err("block overruns footer".to_string());
             }
             let payload = &bytes[body_start..body_end];
             let stored_crc =
                 u32::from_le_bytes(bytes[body_end..body_end + 4].try_into().expect("4 bytes"));
             if crc32(payload) != stored_crc {
-                return Err(SessionDbError::corrupt(
-                    path,
-                    format!("block tag {tag} checksum mismatch"),
-                ));
+                return Err(format!("block tag {tag} checksum mismatch"));
             }
             match tag {
-                BLOCK_DICT => {
-                    dict = Some(
-                        Dictionary::decode(payload)
-                            .map_err(|d| SessionDbError::corrupt(path, d))?,
-                    );
-                }
+                BLOCK_DICT => dict = Some(Dictionary::decode(payload)?),
                 BLOCK_ROWS => {
-                    let d = dict.as_ref().ok_or_else(|| {
-                        SessionDbError::corrupt(path, "rows block before dictionary")
-                    })?;
-                    rows = Some(
-                        decode_rows(payload, d).map_err(|d| SessionDbError::corrupt(path, d))?,
-                    );
+                    let d = dict.take().ok_or("rows block before dictionary")?;
+                    rows = Some(RowsBlock::parse(payload, d)?);
                 }
                 // Unknown block tags are skipped (forward compatibility).
                 _ => {}
             }
             pos = body_end + 4;
         }
-        let rows = rows.unwrap_or_default();
-        if rows.len() as u64 != self.meta.rows {
-            return Err(SessionDbError::corrupt(
-                path,
-                format!(
-                    "footer says {} rows, blocks hold {}",
-                    self.meta.rows,
-                    rows.len()
-                ),
+        let held = rows.as_ref().map_or(0, |r| r.n);
+        if held as u64 != self.meta.rows {
+            return Err(format!(
+                "footer says {} rows, blocks hold {held}",
+                self.meta.rows
             ));
         }
         Ok(rows)
@@ -931,6 +1090,8 @@ mod tests {
         assert_eq!(r.meta().rows, 500);
         let got = r.read_all().unwrap();
         assert_eq!(got, recs);
+        let folded = r.fold(Vec::new(), |v, x| v.push(x.clone())).unwrap();
+        assert_eq!(folded, recs, "the fold hands out what read_all returns");
     }
 
     #[test]
@@ -1008,7 +1169,88 @@ mod tests {
             std::fs::write(&path, &bytes).unwrap();
             let result = SegmentReader::open(&path).and_then(|r| r.read_all());
             assert!(result.is_err(), "bit flip at {off} went undetected");
+            let mut handed = 0;
+            let folded = SegmentReader::open(&path).and_then(|r| r.fold((), |_, _| handed += 1));
+            assert!(
+                folded.is_err(),
+                "bit flip at {off} went undetected by the fold"
+            );
+            assert_eq!(handed, 0, "bit flip at {off}: the fold handed out rows");
         }
+    }
+
+    /// A damaged tag or dictionary id in the segment's last row, under a
+    /// valid CRC: the fold checks the whole rows block first, so it
+    /// hands out no row at all, as `read_all` returns none.
+    #[test]
+    fn a_bad_tag_or_id_in_the_last_row_hands_out_no_row() {
+        let dir = tmpdir("late-damage");
+        let path = dir.join("seg-000000.hsdb");
+        type Damage = fn(&mut Columns);
+        let damage: [(&str, Damage); 5] = [
+            ("protocol tag", |c| *c.protocol.last_mut().unwrap() = 2),
+            ("end-reason tag", |c| *c.end_reason.last_mut().unwrap() = 9),
+            // The last file event is an exec of a missing file: no hash,
+            // so only the tag check can catch it.
+            ("file-op tag", |c| *c.fe_tag.last_mut().unwrap() = 6),
+            ("login id", |c| {
+                *c.login_pass.last_mut().unwrap() = 1_000_000
+            }),
+            ("optional id", |c| {
+                *c.client_version.last_mut().unwrap() = 1_000_000
+            }),
+        ];
+        for (what, damage) in damage {
+            let mut w = SegmentWriter::create(&path);
+            for i in 0..50 {
+                w.push(&rec(i));
+            }
+            damage(&mut w.cols);
+            w.finish().unwrap();
+            let r = SegmentReader::open(&path).unwrap();
+            let mut handed = 0;
+            let err = r.fold((), |_, _| handed += 1).expect_err(what);
+            assert!(
+                matches!(err, SessionDbError::Corrupt { .. }),
+                "{what}: {err}"
+            );
+            assert_eq!(handed, 0, "{what}: rows handed out before the check");
+            assert!(r.read_all().is_err(), "{what}");
+        }
+    }
+
+    /// Rows with more, then fewer, then more strings and file events
+    /// than the row before: the reused record never keeps a stale item.
+    #[test]
+    fn reused_record_never_keeps_a_previous_rows_items() {
+        let dir = tmpdir("reuse");
+        let path = dir.join("seg-000000.hsdb");
+        let mut recs: Vec<SessionRecord> = (0..40).map(rec).collect();
+        recs[7].client_version = None;
+        recs[9].logins.clear();
+        recs[12].file_events[0].source_uri = None;
+        recs[18].file_events.truncate(1);
+        recs[24].file_events.reverse();
+        recs[13].uris = vec!["http://a/1".into(), "http://a/2".into()];
+        recs[14].uris = vec!["http://b/1".into()];
+        recs[15].uris = vec![
+            "http://c/1".into(),
+            "http://c/2".into(),
+            "http://c/3".into(),
+        ];
+        let mut w = SegmentWriter::create(&path);
+        for r in &recs {
+            w.push(r);
+        }
+        w.finish().unwrap();
+        let r = SegmentReader::open(&path).unwrap();
+        let mut at = 0;
+        r.fold((), |_, row| {
+            assert_eq!(row, &recs[at], "row {at}");
+            at += 1;
+        })
+        .unwrap();
+        assert_eq!(at, recs.len());
     }
 
     #[test]

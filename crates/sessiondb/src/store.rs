@@ -532,10 +532,8 @@ impl Store {
     /// Decodes segments on `workers` scoped threads, folding each batch
     /// with `map` and combining per-worker accumulators with `reduce`.
     ///
-    /// Segments are handed out via an atomic cursor, so a slow segment
-    /// never stalls the others; each worker holds at most one decoded
-    /// segment, keeping the whole scan out-of-core. Errors from any
-    /// segment abort the scan.
+    /// Each worker holds at most one decoded segment, keeping the whole
+    /// scan out-of-core. Errors from any segment abort the scan.
     pub fn par_scan<T, Map, Reduce>(
         &self,
         workers: usize,
@@ -547,14 +545,70 @@ impl Store {
         Map: Fn(&mut T, Vec<SessionRecord>) + Sync,
         Reduce: Fn(T, T) -> T,
     {
+        let accs = self.par_segments(workers, T::default, |acc, _, reader| {
+            map(acc, reader.read_all()?);
+            Ok(())
+        })?;
+        Ok(accs.into_iter().fold(T::default(), reduce))
+    }
+
+    /// Folds each segment's rows on `workers` scoped threads: segment `i`
+    /// starts from its own `make(i)`, and each of its rows goes through
+    /// `step` in order, rebuilt in place by [`SegmentReader::fold`] (no
+    /// record is built per row). The folded values come back in
+    /// **segment index order**, regardless of which worker folded which
+    /// segment.
+    ///
+    /// This is the deterministic backbone for parallel map-reduce
+    /// analyses whose merge is associative but not commutative (e.g.
+    /// event-list concatenation): merging the returned values left to
+    /// right reproduces the serial scan's order exactly. A corrupt
+    /// segment is checked whole before `step` sees its first row, and
+    /// any error aborts the scan, exactly as in [`Store::par_scan`].
+    pub fn par_scan_map<T, Make, Step>(
+        &self,
+        workers: usize,
+        make: Make,
+        step: Step,
+    ) -> Result<Vec<T>, SessionDbError>
+    where
+        T: Send,
+        Make: Fn(usize) -> T + Sync,
+        Step: Fn(&mut T, &SessionRecord) + Sync,
+    {
+        let parts = self.par_segments(workers, Vec::new, |done, i, reader| {
+            done.push((i, reader.fold(make(i), &step)?));
+            Ok(())
+        })?;
+        let mut folded: Vec<(usize, T)> = parts.into_iter().flatten().collect();
+        folded.sort_unstable_by_key(|&(i, _)| i);
+        Ok(folded.into_iter().map(|(_, t)| t).collect())
+    }
+
+    /// Runs `visit(&mut w, index, segment)` over every segment on
+    /// `workers` scoped threads, each worker visiting into its own `w`
+    /// from `init`, and returns the workers' values. Segments are handed
+    /// out via an atomic cursor, so a slow segment never stalls the
+    /// others. The first error stops every worker and is returned.
+    fn par_segments<W, Init, Visit>(
+        &self,
+        workers: usize,
+        init: Init,
+        visit: Visit,
+    ) -> Result<Vec<W>, SessionDbError>
+    where
+        W: Send,
+        Init: Fn() -> W + Sync,
+        Visit: Fn(&mut W, usize, &SegmentReader) -> Result<(), SessionDbError> + Sync,
+    {
         let workers = workers.clamp(1, self.segments.len().max(1));
         let cursor = AtomicUsize::new(0);
         let error: Mutex<Option<SessionDbError>> = Mutex::new(None);
-        let accs: Vec<T> = crossbeam::thread::scope(|scope| {
+        let values: Vec<W> = crossbeam::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     scope.spawn(|_| {
-                        let mut acc = T::default();
+                        let mut w = init();
                         loop {
                             let i = cursor.fetch_add(1, Ordering::Relaxed);
                             let Some(reader) = self.segments.get(i) else {
@@ -563,15 +617,12 @@ impl Store {
                             if error.lock().expect("scan error lock").is_some() {
                                 break;
                             }
-                            match reader.read_all() {
-                                Ok(batch) => map(&mut acc, batch),
-                                Err(e) => {
-                                    error.lock().expect("scan error lock").get_or_insert(e);
-                                    break;
-                                }
+                            if let Err(e) = visit(&mut w, i, reader) {
+                                error.lock().expect("scan error lock").get_or_insert(e);
+                                break;
                             }
                         }
-                        acc
+                        w
                     })
                 })
                 .collect();
@@ -584,63 +635,7 @@ impl Store {
         if let Some(e) = error.into_inner().expect("scan error lock") {
             return Err(e);
         }
-        Ok(accs.into_iter().fold(T::default(), reduce))
-    }
-
-    /// Decodes segments on `workers` scoped threads, mapping each
-    /// segment's batch to a value; the results come back in **segment
-    /// index order**, regardless of which worker decoded which segment.
-    ///
-    /// This is the deterministic backbone for parallel map-reduce
-    /// analyses whose merge is associative but not commutative (e.g.
-    /// event-list concatenation): folding the returned values left to
-    /// right reproduces the serial scan's order exactly. `map` receives
-    /// the segment index alongside the batch. Errors from any segment
-    /// abort the scan, exactly as in [`Store::par_scan`].
-    pub fn par_scan_map<T, Map>(&self, workers: usize, map: Map) -> Result<Vec<T>, SessionDbError>
-    where
-        T: Send,
-        Map: Fn(usize, Vec<SessionRecord>) -> T + Sync,
-    {
-        let workers = workers.clamp(1, self.segments.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let error: Mutex<Option<SessionDbError>> = Mutex::new(None);
-        let slots: Vec<Mutex<Option<T>>> =
-            (0..self.segments.len()).map(|_| Mutex::new(None)).collect();
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|_| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(reader) = self.segments.get(i) else {
-                        break;
-                    };
-                    if error.lock().expect("scan error lock").is_some() {
-                        break;
-                    }
-                    match reader.read_all() {
-                        Ok(batch) => {
-                            *slots[i].lock().expect("slot lock") = Some(map(i, batch));
-                        }
-                        Err(e) => {
-                            error.lock().expect("scan error lock").get_or_insert(e);
-                            break;
-                        }
-                    }
-                });
-            }
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        if let Some(e) = error.into_inner().expect("scan error lock") {
-            return Err(e);
-        }
-        Ok(slots
-            .into_iter()
-            .map(|s| {
-                s.into_inner()
-                    .expect("slot lock")
-                    .expect("every segment mapped on success")
-            })
-            .collect())
+        Ok(values)
     }
 }
 
@@ -913,16 +908,14 @@ mod tests {
             .collect();
         for workers in [1, 3, 8] {
             let per_seg: Vec<Vec<u64>> = store
-                .par_scan_map(workers, |_, batch| {
-                    batch.iter().map(|r| r.session_id).collect()
-                })
+                .par_scan_map(workers, |_| Vec::new(), |ids, r| ids.push(r.session_id))
                 .unwrap();
             assert_eq!(per_seg.len(), 15); // ceil(100 / 7)
             let flat: Vec<u64> = per_seg.into_iter().flatten().collect();
             assert_eq!(flat, serial, "workers={workers}");
         }
-        // Segment indices are handed to the map in order too.
-        let idx: Vec<usize> = store.par_scan_map(4, |i, _| i).unwrap();
+        // Segment indices are handed to `make` in order too.
+        let idx: Vec<usize> = store.par_scan_map(4, |i| i, |_, _| {}).unwrap();
         assert_eq!(idx, (0..15).collect::<Vec<usize>>());
     }
 
@@ -941,7 +934,7 @@ mod tests {
         std::fs::write(&victim, &bytes).unwrap();
         let store = Store::open(&dir).unwrap();
         let err = store
-            .par_scan_map(3, |_, b| b.len())
+            .par_scan_map(3, |_| 0usize, |rows, _| *rows += 1)
             .expect_err("corruption must abort the scan");
         assert!(matches!(err, SessionDbError::Corrupt { .. }), "{err}");
     }

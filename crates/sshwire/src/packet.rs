@@ -21,6 +21,10 @@ pub const TAG_LEN: usize = 16;
 /// Upper bound we accept for a single packet (RFC minimum requirement is
 /// 35000; bots never legitimately exceed it).
 pub const MAX_PACKET: usize = 35_000;
+/// Largest payload [`PacketCodec::seal`] frames: with the padding-length
+/// byte and the most padding it adds (11 bytes), the packet stays within
+/// the [`MAX_PACKET`] that [`PacketCodec::open`] accepts.
+pub const MAX_PAYLOAD: usize = MAX_PACKET - 1 - (MIN_PAD + BLOCK - 1);
 
 /// Framer/deframer for one direction of a connection.
 ///
@@ -67,7 +71,7 @@ impl PacketCodec {
         out.extend_from_slice(&[0; 5]); // length and padding length, set below
         write_payload(out);
         let payload_len = out.len() - start - 5;
-        assert!(payload_len <= MAX_PACKET, "payload too large");
+        assert!(payload_len <= MAX_PAYLOAD, "payload too large");
         // Choose padding so that 4 + 1 + payload + pad ≡ 0 (mod BLOCK).
         let unpadded = 4 + 1 + payload_len;
         let mut pad = BLOCK - (unpadded % BLOCK);

@@ -1,7 +1,7 @@
 //! Server-side SSH state machine (the honeypot's wire frontend).
 
 use crate::msg::{KexInit, Message};
-use crate::packet::{feed, split_line, PacketCodec};
+use crate::packet::{feed, split_line, PacketCodec, MAX_PAYLOAD};
 use crate::wire::get_string;
 use crate::SshError;
 use bytes::Bytes;
@@ -41,6 +41,27 @@ enum Phase {
 /// (RFC 4253 §4.2). Past it, without a line end, the connection fails.
 pub const MAX_VERSION_LINE: usize = 255;
 
+/// Least command output one `CHANNEL_DATA` carries when there is that
+/// much to send. A client that advertises a smaller maximum packet (down
+/// to one byte) still gets 4 KiB chunks, paramiko's floor, so one exec
+/// cannot become tens of thousands of packets.
+pub const MIN_CHANNEL_DATA: usize = 4096;
+
+/// Most command output one `CHANNEL_DATA` carries: what fits in
+/// [`MAX_PAYLOAD`] beside the message's number, recipient and length.
+pub const MAX_CHANNEL_DATA: usize = MAX_PAYLOAD - 9;
+
+/// The client's open session channel.
+#[derive(Debug, Clone, Copy)]
+struct Channel {
+    /// The client's id for it.
+    id: u32,
+    /// Most output bytes one `CHANNEL_DATA` carries to it: the client's
+    /// advertised maximum packet, within [`MIN_CHANNEL_DATA`] and
+    /// [`MAX_CHANNEL_DATA`].
+    max_data: u32,
+}
+
 /// The server endpoint. Feed raw bytes with [`SshServer::input`], drain
 /// output with [`SshServer::take_output`] or
 /// [`SshServer::drain_output_into`].
@@ -67,7 +88,7 @@ pub struct SshServer<H: ServerHandler> {
     auth_log: Vec<(String, Option<String>, bool)>,
     /// Executed commands in order.
     exec_log: Vec<String>,
-    open_channel: Option<u32>,
+    open_channel: Option<Channel>,
 }
 
 impl<H: ServerHandler> SshServer<H> {
@@ -280,7 +301,15 @@ impl<H: ServerHandler> SshServer<H> {
                 }
                 Ok(())
             }
-            (Phase::Connected, Message::ChannelOpen { kind, sender, .. }) => {
+            (
+                Phase::Connected,
+                Message::ChannelOpen {
+                    kind,
+                    sender,
+                    max_packet,
+                    ..
+                },
+            ) => {
                 if kind != "session" || self.open_channel.is_some() {
                     self.send(&Message::ChannelOpenFailure {
                         recipient: sender,
@@ -288,7 +317,11 @@ impl<H: ServerHandler> SshServer<H> {
                     });
                     return Ok(());
                 }
-                self.open_channel = Some(sender);
+                let max_data = (max_packet as usize).clamp(MIN_CHANNEL_DATA, MAX_CHANNEL_DATA);
+                self.open_channel = Some(Channel {
+                    id: sender,
+                    max_data: max_data as u32,
+                });
                 self.send(&Message::ChannelOpenConfirmation {
                     recipient: sender,
                     sender: 0,
@@ -306,7 +339,11 @@ impl<H: ServerHandler> SshServer<H> {
                     payload,
                 },
             ) => {
-                let Some(client_chan) = self.open_channel else {
+                let Some(Channel {
+                    id: client_chan,
+                    max_data,
+                }) = self.open_channel
+                else {
                     return Err(SshError::Protocol("request without open channel".into()));
                 };
                 if kind != "exec" {
@@ -326,10 +363,10 @@ impl<H: ServerHandler> SshServer<H> {
                 }
                 let (output, status) = self.handler.exec(&command);
                 self.exec_log.push(command);
-                if !output.is_empty() {
+                for data in output.chunks(max_data as usize) {
                     self.send(&Message::ChannelData {
                         recipient: client_chan,
-                        data: &output,
+                        data,
                     });
                 }
                 // exit-status, EOF, close — the usual server-side teardown.
@@ -489,6 +526,101 @@ mod tests {
             held < crate::packet::MAX_PACKET,
             "wire buffers hold {held} bytes after moving {moved}"
         );
+    }
+
+    /// Accepts any login and answers every exec with `0` bytes of `x`.
+    struct Prints(usize);
+    impl ServerHandler for Prints {
+        fn auth(&mut self, _u: &str, _p: Option<&str>) -> AuthOutcome {
+            AuthOutcome::Accept
+        }
+        fn exec(&mut self, _c: &str) -> (Vec<u8>, u32) {
+            (vec![b'x'; self.0], 0)
+        }
+    }
+
+    /// Runs one exec that prints `output` bytes, from a hand-built client
+    /// whose channel advertises `max_packet`, and returns the data length
+    /// of each `CHANNEL_DATA` the output came back in.
+    fn exec_with_max_packet(max_packet: u32, output: usize) -> Vec<usize> {
+        let mut s = SshServer::new(Prints(output), "SSH-2.0-Test", [0; 16], vec![1]);
+        let (mut tx, mut rx) = (PacketCodec::new(), PacketCodec::new());
+        let key = derive_session_key(b"e", &[1]);
+        let mut command = Vec::new();
+        crate::wire::put_string(&mut command, b"cat big");
+        let mut up = b"SSH-2.0-Client\r\n".to_vec();
+        for (i, msg) in [
+            Message::KexInit(KexInit::default_with_cookie([7; 16])),
+            Message::KexdhInit { e: b"e" },
+            Message::NewKeys,
+            Message::ServiceRequest("ssh-userauth"),
+            Message::UserauthRequest {
+                username: "root",
+                service: "ssh-connection",
+                password: Some("pw"),
+            },
+            Message::ChannelOpen {
+                kind: "session",
+                sender: 5,
+                window: 1 << 20,
+                max_packet,
+            },
+            Message::ChannelRequest {
+                recipient: 0,
+                kind: "exec",
+                want_reply: false,
+                payload: &command,
+            },
+        ]
+        .iter()
+        .enumerate()
+        {
+            if i == 3 {
+                tx.enable_integrity(key); // after our NEWKEYS
+            }
+            tx.seal(&mut up, |b| msg.encode_into(b));
+        }
+        s.input(&up).unwrap();
+        let out = s.take_output();
+        let mut rest = &out[b"SSH-2.0-Test\r\n".len()..];
+        let mut data = Vec::new();
+        while let Some((payload, len)) = rx.open(rest).unwrap() {
+            match Message::decode(payload).unwrap() {
+                Message::NewKeys => rx.enable_integrity(key),
+                Message::ChannelData { recipient, data: d } => {
+                    assert_eq!(recipient, 5);
+                    data.push(d.len());
+                }
+                _ => {}
+            }
+            rest = &rest[len..];
+        }
+        assert!(rest.is_empty(), "{} bytes left unopened", rest.len());
+        assert_eq!(s.exec_log(), ["cat big"]);
+        data
+    }
+
+    #[test]
+    fn command_output_goes_out_in_packets_the_client_can_take() {
+        // The client's maximum, when it lies between the bounds.
+        assert_eq!(
+            exec_with_max_packet(10_000, 25_000),
+            [10_000, 10_000, 5_000]
+        );
+        assert_eq!(exec_with_max_packet(32_768, 100), [100]);
+        // One larger than a packet holds is cut to what fits MAX_PACKET,
+        // and the client's codec opens that largest packet.
+        assert_eq!(
+            exec_with_max_packet(u32::MAX, 40_000),
+            [MAX_CHANNEL_DATA, 40_000 - MAX_CHANNEL_DATA]
+        );
+        // A tiny maximum gets 4 KiB chunks: ten packets, not 40,000.
+        let tiny = exec_with_max_packet(1, 40_000);
+        assert_eq!(tiny.len(), 40_000usize.div_ceil(MIN_CHANNEL_DATA));
+        assert!(tiny.iter().all(|&n| n <= MIN_CHANNEL_DATA));
+        assert_eq!(tiny.iter().sum::<usize>(), 40_000);
+        // No output, no CHANNEL_DATA.
+        assert!(exec_with_max_packet(1, 0).is_empty());
     }
 
     #[test]

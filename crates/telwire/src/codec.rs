@@ -69,6 +69,12 @@ impl TelnetCodec {
         Self::default()
     }
 
+    /// Bytes held back by the last [`TelnetCodec::drain`]: an unfinished
+    /// command or subnegotiation, at most [`MAX_SUBNEGOTIATION`].
+    pub fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
     /// Appends raw bytes from the wire.
     pub fn input(&mut self, data: &[u8]) {
         self.buf.extend_from_slice(data);

@@ -32,6 +32,10 @@ const MAX_AUTH_TRIES: usize = 3;
 pub const MAX_LINE: usize = MAX_SUBNEGOTIATION;
 
 /// The Telnet server endpoint.
+///
+/// An error closes the machine, and once closed (by an error, `exit`, or
+/// a third failed login) it drops its input: it answers nothing more and
+/// holds no buffered bytes.
 pub struct TelnetServer<H: TelnetHandler> {
     handler: H,
     codec: TelnetCodec,
@@ -110,10 +114,38 @@ impl<H: TelnetHandler> TelnetServer<H> {
             .extend_from_slice(&codec::escape_data(s.as_bytes()));
     }
 
-    /// Feeds client bytes.
+    /// Bytes held from the peer: the unfinished line, and the unfinished
+    /// command or subnegotiation the codec keeps. Each stays within
+    /// 4 KiB ([`MAX_LINE`], [`MAX_SUBNEGOTIATION`]); a closed machine
+    /// holds none.
+    pub fn buffered(&self) -> (usize, usize) {
+        (self.line.len(), self.codec.buffered())
+    }
+
+    /// Feeds client bytes. On error the machine closes; a closed machine
+    /// drops its input.
     pub fn input(&mut self, data: &[u8]) -> Result<(), TelnetError> {
+        if self.phase == Phase::Closed {
+            return Ok(());
+        }
+        let r = self.feed(data);
+        if r.is_err() {
+            self.phase = Phase::Closed;
+        }
+        if self.phase == Phase::Closed {
+            self.codec = TelnetCodec::new();
+            self.line = Vec::new();
+        }
+        r
+    }
+
+    /// Handles every complete event in `data` until the machine closes.
+    fn feed(&mut self, data: &[u8]) -> Result<(), TelnetError> {
         self.codec.input(data);
         for ev in self.codec.drain()? {
+            if self.phase == Phase::Closed {
+                break;
+            }
             match ev {
                 Event::Negotiate { verb, option } => self.negotiate(verb, option),
                 Event::Data(bytes) => self.data(&bytes)?,
@@ -146,6 +178,9 @@ impl<H: TelnetHandler> TelnetServer<H> {
                     let line = String::from_utf8_lossy(&self.line).into_owned();
                     self.line.clear();
                     self.on_line(line.trim_end());
+                    if self.phase == Phase::Closed {
+                        return Ok(());
+                    }
                 }
                 _ if self.line.len() >= MAX_LINE => {
                     return Err(TelnetError::Protocol(format!(
@@ -203,6 +238,7 @@ impl<H: TelnetHandler> TelnetServer<H> {
                 self.send_str(&out);
                 self.send_str(&format!("{host}:~# "));
             }
+            // `data` stops at the line that closes the machine.
             Phase::Closed => {}
         }
     }
@@ -309,6 +345,37 @@ mod tests {
         assert_eq!(s.drain_output_into(&mut out), banner.len());
         assert_eq!(&out[4..], &banner[..]);
         assert!(s.take_output().is_empty());
+    }
+
+    #[test]
+    fn a_closed_machine_drops_its_input() {
+        // Closed by `exit`: the rest of that input and every later byte
+        // are dropped, negotiation included.
+        let mut s = srv();
+        s.input(b"root\r\nadmin\r\n").unwrap();
+        s.take_output();
+        let mut input = b"exit\r\nuname -a\r\n".to_vec();
+        input.extend_from_slice(&[codec::IAC, DO, 99]);
+        s.input(&input).unwrap();
+        assert!(s.is_closed());
+        assert!(s.take_output().is_empty(), "a closed machine answered");
+        s.input(&[codec::IAC, DO, 99]).unwrap();
+        s.input(b"id\r\n").unwrap();
+        assert!(s.take_output().is_empty(), "a closed machine answered");
+        assert!(s.exec_log().is_empty());
+        assert_eq!(s.buffered(), (0, 0));
+
+        // Closed by an error: the over-long line fails once, and the
+        // machine then drops input instead of parsing on.
+        let mut s = srv();
+        s.take_output();
+        assert!(s.input(&[b'a'; MAX_LINE + 1]).is_err());
+        assert!(s.is_closed());
+        assert!(s.input(b"\r\nroot\r\n").is_ok());
+        s.input(&[codec::IAC, DO, 99]).unwrap();
+        assert!(s.take_output().is_empty(), "a closed machine answered");
+        assert!(s.auth_log().is_empty());
+        assert_eq!(s.buffered(), (0, 0));
     }
 
     #[test]

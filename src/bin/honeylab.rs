@@ -380,14 +380,10 @@ fn analyze_sessiondb(
         "sessiondb store: {} sessions in {} segments",
         summary.rows, summary.segments
     );
-    // One parallel pass decodes and CRC-checks every block up front, so
+    // One parallel pass CRC-checks and decodes every block up front, so
     // the streaming analysis pass below can trust the store.
-    match store.par_scan(
-        threads,
-        |acc: &mut u64, batch| *acc += batch.len() as u64,
-        |a, b| a + b,
-    ) {
-        Ok(validated) => eprintln!("validated {validated} sessions"),
+    match store.par_scan_map(threads, |_| 0u64, |rows, _| *rows += 1) {
+        Ok(per_segment) => eprintln!("validated {} sessions", per_segment.iter().sum::<u64>()),
         Err(e) => {
             eprintln!("error scanning {path}: {e}");
             return 1;

@@ -4,9 +4,11 @@
 //!
 //! 1. **Round trip** — any slice of a generated dataset written through a
 //!    `StoreWriter` scans back field-identical, in order, for arbitrary
-//!    segment sizes (property test).
+//!    segment sizes (property test), and the in-place fold hands out
+//!    exactly the rows `read_all` returns.
 //! 2. **Corruption** — truncated or bit-flipped segment files surface as
-//!    structured [`SessionDbError`]s, never as panics or silent data.
+//!    structured [`SessionDbError`]s, never as panics or silent data, and
+//!    a corrupt segment's fold hands out no row.
 //! 3. **Equivalence** — the analysis pipeline computes identical §3.3
 //!    taxonomy and Table 1 counts whether it reads sessions from a Cowrie
 //!    JSON log or streams them out-of-core from a sessiondb store. (The
@@ -17,7 +19,7 @@
 use honeylab::core::{AnalysisBuilder, ReportKind, SessionSource};
 use honeylab::honeypot::{from_cowrie_log_lossy, to_cowrie_log};
 use honeylab::prelude::*;
-use honeylab::sessiondb::{is_sessiondb_path, SessionDbError, Store, StoreWriter};
+use honeylab::sessiondb::{is_sessiondb_path, SegmentReader, SessionDbError, Store, StoreWriter};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -71,6 +73,53 @@ proptest! {
         prop_assert_eq!(&back[..], slice);
         std::fs::remove_dir_all(&dir).ok();
     }
+
+    /// Over the same generator, each segment's fold hands out exactly
+    /// the rows its `read_all` returns, field by field and in order, and
+    /// the folds together hand out the slice.
+    #[test]
+    fn fold_hands_out_what_read_all_returns(
+        start in 0usize..400,
+        len in 0usize..300,
+        rows_per_segment in 1usize..64,
+        case in 0u32..u32::MAX,
+    ) {
+        let all = sessions();
+        let start = start.min(all.len());
+        let slice = &all[start..(start + len).min(all.len())];
+        let dir = scratch(&format!("fold-{case}"));
+        write_store(&dir, slice, rows_per_segment);
+
+        let store = Store::open(&dir).expect("open store");
+        let mut folded_all = Vec::new();
+        for meta in store.segments() {
+            let reader = SegmentReader::open(&meta.path).expect("open segment");
+            let owned = reader.read_all().expect("clean segment reads");
+            let folded = reader
+                .fold(Vec::new(), |rows, r| rows.push(r.clone()))
+                .expect("clean segment folds");
+            prop_assert_eq!(folded.len(), owned.len());
+            for (f, o) in folded.iter().zip(&owned) {
+                prop_assert_eq!(f.session_id, o.session_id);
+                prop_assert_eq!(f.honeypot_id, o.honeypot_id);
+                prop_assert_eq!(f.honeypot_ip, o.honeypot_ip);
+                prop_assert_eq!(f.client_ip, o.client_ip);
+                prop_assert_eq!(f.client_port, o.client_port);
+                prop_assert_eq!(f.protocol, o.protocol);
+                prop_assert_eq!(f.start, o.start);
+                prop_assert_eq!(f.end, o.end);
+                prop_assert_eq!(f.end_reason, o.end_reason);
+                prop_assert_eq!(&f.client_version, &o.client_version);
+                prop_assert_eq!(&f.logins, &o.logins);
+                prop_assert_eq!(&f.commands, &o.commands);
+                prop_assert_eq!(&f.uris, &o.uris);
+                prop_assert_eq!(&f.file_events, &o.file_events);
+            }
+            folded_all.extend(folded);
+        }
+        prop_assert_eq!(&folded_all[..], slice);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -99,6 +148,26 @@ fn scan_error(dir: &PathBuf) -> Option<SessionDbError> {
     err
 }
 
+/// Folds every segment of the store in order and returns the first
+/// error, with how many rows the failing segment had handed out by then.
+fn fold_error(dir: &PathBuf) -> Option<(SessionDbError, u64)> {
+    let store = match Store::open(dir) {
+        Ok(s) => s,
+        Err(e) => return Some((e, 0)),
+    };
+    for meta in store.segments() {
+        let reader = match SegmentReader::open(&meta.path) {
+            Ok(r) => r,
+            Err(e) => return Some((e, 0)),
+        };
+        let mut handed = 0u64;
+        if let Err(e) = reader.fold((), |_, _| handed += 1) {
+            return Some((e, handed));
+        }
+    }
+    None
+}
+
 #[test]
 fn truncated_segments_are_rejected() {
     let all = &sessions()[..120];
@@ -117,6 +186,8 @@ fn truncated_segments_are_rejected() {
             "truncation to {keep} of {} bytes must be detected",
             bytes.len()
         );
+        let (_, handed) = fold_error(&dir).expect("the fold detects it too");
+        assert_eq!(handed, 0, "a truncated segment handed out rows");
     }
     // Restoring the original bytes heals the store.
     std::fs::write(&seg, &bytes).unwrap();
@@ -142,8 +213,12 @@ fn bit_flips_are_rejected_or_leave_data_intact() {
         // errors, or (flip in already-ignored padding — none exists in
         // this format, but keep the invariant honest) data is identical.
         match scan_error(&dir) {
-            Some(_) => {}
+            Some(_) => {
+                let (_, handed) = fold_error(&dir).expect("the fold detects it too");
+                assert_eq!(handed, 0, "a bit-flipped segment handed out rows");
+            }
             None => {
+                assert!(fold_error(&dir).is_none(), "only the fold saw a flip");
                 let store = Store::open(&dir).expect("reopens");
                 let back: Vec<SessionRecord> =
                     store.scan().records().map(|r| r.expect("scans")).collect();
