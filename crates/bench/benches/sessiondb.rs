@@ -1,7 +1,7 @@
 //! sessiondb storage benches: write throughput, cold out-of-core scans
-//! (owned records, and rows folded in place), and the zone-map win — a
-//! one-month window scan against the obvious baseline of re-parsing the
-//! whole Cowrie JSON log and filtering.
+//! (owned records, and rows folded in place on one worker and on all
+//! CPUs), and the zone-map win — a one-month window scan against the
+//! obvious baseline of re-parsing the whole Cowrie JSON log and filtering.
 //!
 //! The store is built once per bench binary from the shared dataset; the
 //! cold-scan benches reopen it every iteration so segment metadata loading
@@ -63,14 +63,13 @@ fn bench_cold_scan(bench: &mut Bench) {
             .inspect(|r| assert!(r.is_ok()))
             .count()
     });
-    // The same rows folded in place, one worker: no record per row.
+    // The same rows folded in place: no record per row. One worker, then
+    // all CPUs.
     bench.time("sessiondb_fold_scan", 12, || {
         let store = Store::open(dir).expect("open store");
         store
-            .par_scan_map(1, |_| 0u64, |rows, _| *rows += 1)
+            .par_fold(1, || 0u64, |rows, _| *rows += 1, |a, b| *a += b)
             .expect("clean store")
-            .iter()
-            .sum::<u64>()
     });
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -78,11 +77,7 @@ fn bench_cold_scan(bench: &mut Bench) {
     bench.time("sessiondb_cold_par_scan", 12, || {
         let store = Store::open(dir).expect("open store");
         store
-            .par_scan(
-                workers,
-                |acc: &mut u64, batch| *acc += batch.len() as u64,
-                |a, b| a + b,
-            )
+            .par_fold(workers, || 0u64, |rows, _| *rows += 1, |a, b| *a += b)
             .expect("clean store")
     });
     // The baseline an analyst without the store pays: re-parse the whole

@@ -28,20 +28,15 @@
 //!
 //! # Parallel map-reduce
 //!
-//! [`AnalysisBuilder::threads`] turns the single streaming pass into a
-//! map-reduce: the source is partitioned (store segments, or contiguous
-//! slice chunks), each worker folds its partition into a private
-//! `Accumulators` bundle, and the partials are merged **in partition
-//! order**. Every accumulator's `merge` is associative, and the one
-//! order-sensitive accumulator (download events, a concatenation) is
-//! exactly why partials merge in ascending partition order — the merged
-//! event sequence is the serial sequence. The parallel result is
-//! byte-identical to `threads(1)`, for any thread count.
-//!
-//! A store is always partitioned by segment, serial or not: its source
-//! runs through `sessiondb::Store::par_scan_map`, which rebuilds each row
-//! in place into one reused record and hands it to the segment's
-//! partial, so the pass builds no record per row.
+//! Every source runs through [`hutil::par::ordered_fold`] on
+//! [`AnalysisBuilder::threads`] workers: it is partitioned (store segments
+//! via `sessiondb::Store::par_fold`, which builds no record per row, or
+//! contiguous slice chunks), each part folds into a private
+//! `Accumulators` bundle, and the partials merge **in partition order**
+//! as they finish. Every accumulator's `merge` is associative, and the
+//! one order-sensitive accumulator (download events, a concatenation) is
+//! why the order matters: the result is byte-identical for any thread
+//! count.
 
 use crate::classify::Classifier;
 use crate::logins::{CowrieDefaultProbes, ProbeAccumulator, TopPasswords, TopPasswordsAccumulator};
@@ -50,6 +45,7 @@ use crate::report::ClassificationAccumulator;
 use crate::storage_analysis::{DownloadAccumulator, DownloadEvent, StorageStats};
 use crate::taxonomy::{TaxonomyAccumulator, TaxonomyStats};
 use honeypot::{from_cowrie_log_lossy, SessionRecord};
+use std::convert::Infallible;
 
 /// The reports [`AnalysisBuilder`] can compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -281,44 +277,26 @@ impl<'c> Accumulators<'c> {
     }
 }
 
-/// Folds a slice into accumulators, splitting it across `threads`
-/// contiguous chunks when parallelism is requested. Chunk partials merge
-/// in slice order, so the result is identical to the serial fold.
-fn fold_slice<'c>(
+/// Folds a slice cut into `threads` contiguous chunks, one part each.
+fn fold_chunks<'c>(
     slice: &[SessionRecord],
     threads: usize,
-    make: &(impl Fn() -> Accumulators<'c> + Sync),
+    make: impl Fn() -> Accumulators<'c> + Sync,
 ) -> Accumulators<'c> {
-    if threads <= 1 || slice.len() < 2 {
-        let mut acc = make();
-        for rec in slice {
-            acc.push(rec);
-        }
-        return acc;
-    }
-    let chunk = slice.len().div_ceil(threads);
-    let parts: Vec<Accumulators<'c>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = slice
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    let mut acc = make();
-                    for rec in c {
-                        acc.push(rec);
-                    }
-                    acc
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
-    });
-    let mut acc = make();
-    for part in parts {
-        acc.merge(part);
-    }
+    let chunks: Vec<&[SessionRecord]> =
+        slice.chunks(slice.len().div_ceil(threads).max(1)).collect();
+    let folded = hutil::par::ordered_fold(
+        chunks.len(),
+        threads,
+        make(),
+        |i| {
+            let mut acc = make();
+            chunks[i].iter().for_each(|rec| acc.push(rec));
+            Ok::<_, Infallible>(acc)
+        },
+        Accumulators::merge,
+    );
+    let Ok(acc) = folded;
     acc
 }
 
@@ -365,11 +343,11 @@ impl<'a> AnalysisBuilder<'a> {
         self
     }
 
-    /// Worker threads for the streaming pass (default 1 = serial; `0` is
-    /// treated as 1). With more than one thread the source is
-    /// partitioned — store segments, or contiguous slice chunks — and
-    /// per-partition partials are merged in partition order, so the
-    /// result is byte-identical to the serial pass.
+    /// Worker threads for the streaming pass (default 1; `0` is treated
+    /// as 1). The source is partitioned — store segments, or one
+    /// contiguous slice chunk per thread — and per-partition partials are
+    /// merged in partition order, so the result is byte-identical at any
+    /// thread count.
     pub fn threads(mut self, n: usize) -> Self {
         self.threads = n.max(1);
         self
@@ -393,19 +371,13 @@ impl<'a> AnalysisBuilder<'a> {
 
         let mut out = AnalysisReport::default();
         let acc = match self.source {
-            SessionSource::Memory(slice) => fold_slice(slice, self.threads, &make),
-            SessionSource::Store(store) => {
-                // One partial per segment, folded from rows rebuilt in
-                // place and returned in segment order whichever worker
-                // folded it; with one thread the one worker folds them all.
-                let parts =
-                    store.par_scan_map(self.threads, |_| make(), |acc, rec| acc.push(rec))?;
-                let mut acc = make();
-                for part in parts {
-                    acc.merge(part);
-                }
-                acc
-            }
+            SessionSource::Memory(slice) => fold_chunks(slice, self.threads, make),
+            SessionSource::Store(store) => store.par_fold(
+                self.threads,
+                make,
+                |acc, rec| acc.push(rec),
+                Accumulators::merge,
+            )?,
             SessionSource::CowrieLog(log) => {
                 let import = from_cowrie_log_lossy(log);
                 if import.sessions.is_empty() && !import.errors.is_empty() {
@@ -413,7 +385,7 @@ impl<'a> AnalysisBuilder<'a> {
                         lines_total: import.lines_total,
                     });
                 }
-                let acc = fold_slice(&import.sessions, self.threads, &make);
+                let acc = fold_chunks(&import.sessions, self.threads, make);
                 out.import = Some(ImportDiagnostics {
                     lines_total: import.lines_total,
                     recovered: import.sessions.len(),
@@ -495,34 +467,6 @@ mod tests {
     }
 
     #[test]
-    fn store_source_streams_the_same_results() {
-        let d = ds();
-        let dir = std::env::temp_dir().join(format!("analysis-store-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut w = sessiondb::StoreWriter::with_rows_per_segment(&dir, 64).unwrap();
-        for rec in &d.sessions {
-            honeypot::SessionSink::append(&mut w, rec).unwrap();
-        }
-        honeypot::SessionSink::finish(&mut w).unwrap();
-        let store = sessiondb::Store::open(&dir).unwrap();
-
-        let from_store = AnalysisBuilder::new(SessionSource::Store(&store))
-            .run()
-            .unwrap();
-        let from_mem = AnalysisBuilder::new(SessionSource::Memory(&d.sessions))
-            .run()
-            .unwrap();
-        assert_eq!(from_store.sessions, from_mem.sessions);
-        assert_eq!(from_store.taxonomy, from_mem.taxonomy);
-        assert_eq!(from_store.categories, from_mem.categories);
-        assert_eq!(
-            from_store.passwords.as_ref().unwrap().passwords,
-            from_mem.passwords.as_ref().unwrap().passwords
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn cowrie_source_reports_import_diagnostics() {
         let d = ds();
         let slice = &d.sessions[..200.min(d.sessions.len())];
@@ -549,37 +493,33 @@ mod tests {
         }
     }
 
+    /// Field by field, the order-sensitive download list included.
     fn reports_equal(a: &AnalysisReport, b: &AnalysisReport) {
         assert_eq!(a.sessions, b.sessions);
         assert_eq!(a.taxonomy, b.taxonomy);
         assert_eq!(a.categories, b.categories);
         assert_eq!(a.coverage, b.coverage);
-        assert_eq!(
-            a.passwords.as_ref().map(|p| &p.passwords),
-            b.passwords.as_ref().map(|p| &p.passwords)
-        );
-        assert_eq!(
-            a.passwords.as_ref().map(|p| &p.by_month),
-            b.passwords.as_ref().map(|p| &p.by_month)
-        );
-        assert_eq!(
-            a.probes.as_ref().map(|p| p.phil_unique_ips),
-            b.probes.as_ref().map(|p| p.phil_unique_ips)
-        );
-        assert_eq!(
-            a.probes.as_ref().map(|p| &p.phil_success),
-            b.probes.as_ref().map(|p| &p.phil_success)
-        );
-        assert_eq!(
-            a.probes.as_ref().map(|p| &p.richard_tries),
-            b.probes.as_ref().map(|p| &p.richard_tries)
-        );
+        let pw = |r: &AnalysisReport| r.passwords.clone().map(|p| (p.passwords, p.by_month));
+        assert_eq!(pw(a), pw(b));
+        let pr = |r: &AnalysisReport| {
+            r.probes.clone().map(|p| {
+                (
+                    p.phil_success,
+                    p.richard_tries,
+                    p.phil_unique_ips,
+                    p.phil_no_command_frac,
+                )
+            })
+        };
+        assert_eq!(pr(a), pr(b));
         assert_eq!(a.downloads, b.downloads);
         assert_eq!(a.storage, b.storage);
         assert_eq!(
             a.mdrfckr.as_ref().map(|t| &t.daily),
             b.mdrfckr.as_ref().map(|t| &t.daily)
         );
+        assert_eq!(a.import.is_some(), b.import.is_some());
+        assert_eq!(a.budget_exhaustions, b.budget_exhaustions);
     }
 
     #[test]
@@ -597,28 +537,32 @@ mod tests {
         }
     }
 
+    /// The store source against its oracle: the memory source over the
+    /// same rows, read back through the owned scan.
     #[test]
-    fn parallel_store_run_is_identical_to_serial() {
+    fn store_source_equals_memory_over_its_rows() {
         let d = ds();
-        let dir = std::env::temp_dir().join(format!("analysis-parstore-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("analysis-store-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        // Small segments so the parallel path sees many partitions.
+        // Small segments, so the download events spread over many parts.
         let mut w = sessiondb::StoreWriter::with_rows_per_segment(&dir, 16).unwrap();
         for rec in &d.sessions {
             honeypot::SessionSink::append(&mut w, rec).unwrap();
         }
         honeypot::SessionSink::finish(&mut w).unwrap();
         let store = sessiondb::Store::open(&dir).unwrap();
+        let rows: Vec<SessionRecord> = store.scan().records().collect::<Result<_, _>>().unwrap();
 
-        let serial = AnalysisBuilder::new(SessionSource::Store(&store))
+        let oracle = AnalysisBuilder::new(SessionSource::Memory(&rows))
             .run()
             .unwrap();
-        for threads in [2, 4] {
-            let par = AnalysisBuilder::new(SessionSource::Store(&store))
+        assert!(oracle.downloads.as_ref().unwrap().len() > 1);
+        for threads in 1..=4 {
+            let from_store = AnalysisBuilder::new(SessionSource::Store(&store))
                 .threads(threads)
                 .run()
                 .unwrap();
-            reports_equal(&par, &serial);
+            reports_equal(&from_store, &oracle);
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

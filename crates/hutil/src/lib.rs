@@ -19,11 +19,15 @@
 //!   figure generators.
 //! * [`rng`] — deterministic seed-splitting so every subsystem draws from an
 //!   independent, reproducible stream.
+//! * [`par`] — the ordered parallel fold that drives every whole-store
+//!   pass: parts folded on scoped threads, merged in part order, with at
+//!   most two parts per worker alive at once.
 
 pub mod base64;
 pub mod crc32;
 pub mod date;
 pub mod json;
+pub mod par;
 pub mod rng;
 pub mod sha256;
 pub mod stats;

@@ -46,17 +46,17 @@
 //!
 //! [`Store::scan`] streams [`honeypot::SessionRecord`] batches segment by
 //! segment — resident memory is bounded by one decoded segment, not the
-//! dataset. [`Store::par_scan`] fans segments out over scoped threads for
-//! out-of-core aggregation.
+//! dataset.
 //!
 //! The analyst's pass reads rows without owning them:
 //! [`SegmentReader::fold`] CRC-checks a segment's blocks, checks every
 //! tag and dictionary id of its rows block, then rebuilds the rows one by
 //! one into a single reused record, resolving strings in a dictionary
-//! that borrows from the block. [`Store::par_scan_map`] folds every
-//! segment that way on scoped threads and returns the per-segment
-//! results in segment order. [`SegmentReader::read_all`] is the same fold
-//! with each row moved out, so there is one row decoder.
+//! that borrows from the block. [`Store::par_fold`] folds every segment
+//! that way on scoped threads and merges the segments' values in segment
+//! order as they finish ([`hutil::par::ordered_fold`]), holding at most two
+//! per worker. [`SegmentReader::read_all`] is the same fold with each row
+//! moved out, so there is one row decoder.
 //!
 //! # Writing
 //!

@@ -12,8 +12,6 @@ use honeypot::{SessionRecord, SessionSink, SinkError};
 use hutil::DateTime;
 use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Does `path` look like a sessiondb store (directory with a manifest or
 /// segments) or a single segment file (magic bytes)? Used by the CLI to
@@ -529,113 +527,26 @@ impl Store {
         }
     }
 
-    /// Decodes segments on `workers` scoped threads, folding each batch
-    /// with `map` and combining per-worker accumulators with `reduce`.
-    ///
-    /// Each worker holds at most one decoded segment, keeping the whole
-    /// scan out-of-core. Errors from any segment abort the scan.
-    pub fn par_scan<T, Map, Reduce>(
+    /// Folds every row on `workers` scoped threads: each segment folds
+    /// from its own `make()` through [`SegmentReader::fold`] (rows rebuilt
+    /// in place, checked whole first), and the segments' values merge into
+    /// a running `make()` in **segment order** through
+    /// [`hutil::par::ordered_fold`], holding at most `2 × workers` of them.
+    /// The first corrupt segment's error is returned.
+    pub fn par_fold<T: Send>(
         &self,
         workers: usize,
-        map: Map,
-        reduce: Reduce,
-    ) -> Result<T, SessionDbError>
-    where
-        T: Default + Send,
-        Map: Fn(&mut T, Vec<SessionRecord>) + Sync,
-        Reduce: Fn(T, T) -> T,
-    {
-        let accs = self.par_segments(workers, T::default, |acc, _, reader| {
-            map(acc, reader.read_all()?);
-            Ok(())
-        })?;
-        Ok(accs.into_iter().fold(T::default(), reduce))
-    }
-
-    /// Folds each segment's rows on `workers` scoped threads: segment `i`
-    /// starts from its own `make(i)`, and each of its rows goes through
-    /// `step` in order, rebuilt in place by [`SegmentReader::fold`] (no
-    /// record is built per row). The folded values come back in
-    /// **segment index order**, regardless of which worker folded which
-    /// segment.
-    ///
-    /// This is the deterministic backbone for parallel map-reduce
-    /// analyses whose merge is associative but not commutative (e.g.
-    /// event-list concatenation): merging the returned values left to
-    /// right reproduces the serial scan's order exactly. A corrupt
-    /// segment is checked whole before `step` sees its first row, and
-    /// any error aborts the scan, exactly as in [`Store::par_scan`].
-    pub fn par_scan_map<T, Make, Step>(
-        &self,
-        workers: usize,
-        make: Make,
-        step: Step,
-    ) -> Result<Vec<T>, SessionDbError>
-    where
-        T: Send,
-        Make: Fn(usize) -> T + Sync,
-        Step: Fn(&mut T, &SessionRecord) + Sync,
-    {
-        let parts = self.par_segments(workers, Vec::new, |done, i, reader| {
-            done.push((i, reader.fold(make(i), &step)?));
-            Ok(())
-        })?;
-        let mut folded: Vec<(usize, T)> = parts.into_iter().flatten().collect();
-        folded.sort_unstable_by_key(|&(i, _)| i);
-        Ok(folded.into_iter().map(|(_, t)| t).collect())
-    }
-
-    /// Runs `visit(&mut w, index, segment)` over every segment on
-    /// `workers` scoped threads, each worker visiting into its own `w`
-    /// from `init`, and returns the workers' values. Segments are handed
-    /// out via an atomic cursor, so a slow segment never stalls the
-    /// others. The first error stops every worker and is returned.
-    fn par_segments<W, Init, Visit>(
-        &self,
-        workers: usize,
-        init: Init,
-        visit: Visit,
-    ) -> Result<Vec<W>, SessionDbError>
-    where
-        W: Send,
-        Init: Fn() -> W + Sync,
-        Visit: Fn(&mut W, usize, &SegmentReader) -> Result<(), SessionDbError> + Sync,
-    {
-        let workers = workers.clamp(1, self.segments.len().max(1));
-        let cursor = AtomicUsize::new(0);
-        let error: Mutex<Option<SessionDbError>> = Mutex::new(None);
-        let values: Vec<W> = crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut w = init();
-                        loop {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(reader) = self.segments.get(i) else {
-                                break;
-                            };
-                            if error.lock().expect("scan error lock").is_some() {
-                                break;
-                            }
-                            if let Err(e) = visit(&mut w, i, reader) {
-                                error.lock().expect("scan error lock").get_or_insert(e);
-                                break;
-                            }
-                        }
-                        w
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-                .collect()
-        })
-        .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        if let Some(e) = error.into_inner().expect("scan error lock") {
-            return Err(e);
-        }
-        Ok(values)
+        make: impl Fn() -> T + Sync,
+        step: impl Fn(&mut T, &SessionRecord) + Sync,
+        merge: impl FnMut(&mut T, T),
+    ) -> Result<T, SessionDbError> {
+        hutil::par::ordered_fold(
+            self.segments.len(),
+            workers,
+            make(),
+            |i| self.segments[i].fold(make(), &step),
+            merge,
+        )
     }
 }
 
@@ -869,7 +780,7 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_matches_serial_scan() {
+    fn par_fold_matches_serial_scan() {
         let dir = tmpdir("par");
         let mut w = StoreWriter::with_rows_per_segment(&dir, 7).unwrap();
         for i in 0..100 {
@@ -879,13 +790,17 @@ mod tests {
         let store = Store::open(&dir).unwrap();
         let serial: u64 = store.scan().records().map(|r| r.unwrap().session_id).sum();
         let (count, sum) = store
-            .par_scan(
+            .par_fold(
                 4,
-                |acc: &mut (u64, u64), batch| {
-                    acc.0 += batch.len() as u64;
-                    acc.1 += batch.iter().map(|r| r.session_id).sum::<u64>();
+                || (0u64, 0u64),
+                |acc, r| {
+                    acc.0 += 1;
+                    acc.1 += r.session_id;
                 },
-                |a, b| (a.0 + b.0, a.1 + b.1),
+                |a, b| {
+                    a.0 += b.0;
+                    a.1 += b.1;
+                },
             )
             .unwrap();
         assert_eq!(count, 100);
@@ -893,8 +808,8 @@ mod tests {
     }
 
     #[test]
-    fn par_scan_map_preserves_segment_order() {
-        let dir = tmpdir("par-map");
+    fn par_fold_merges_in_segment_order() {
+        let dir = tmpdir("par-order");
         let mut w = StoreWriter::with_rows_per_segment(&dir, 7).unwrap();
         for i in 0..100 {
             StoreWriter::append(&mut w, &rec(i)).unwrap();
@@ -907,57 +822,47 @@ mod tests {
             .map(|r| r.unwrap().session_id)
             .collect();
         for workers in [1, 3, 8] {
+            // One inner list per segment, each started by its first row.
             let per_seg: Vec<Vec<u64>> = store
-                .par_scan_map(workers, |_| Vec::new(), |ids, r| ids.push(r.session_id))
+                .par_fold(
+                    workers,
+                    Vec::new,
+                    |segs: &mut Vec<Vec<u64>>, r| match segs.last_mut() {
+                        Some(ids) => ids.push(r.session_id),
+                        None => segs.push(vec![r.session_id]),
+                    },
+                    |a, b| a.extend(b),
+                )
                 .unwrap();
             assert_eq!(per_seg.len(), 15); // ceil(100 / 7)
+            let firsts: Vec<u64> = per_seg.iter().map(|ids| ids[0]).collect();
+            assert_eq!(firsts, (0..15).map(|s| s * 7).collect::<Vec<u64>>());
             let flat: Vec<u64> = per_seg.into_iter().flatten().collect();
             assert_eq!(flat, serial, "workers={workers}");
         }
-        // Segment indices are handed to `make` in order too.
-        let idx: Vec<usize> = store.par_scan_map(4, |i| i, |_, _| {}).unwrap();
-        assert_eq!(idx, (0..15).collect::<Vec<usize>>());
     }
 
     #[test]
-    fn par_scan_map_surfaces_corruption() {
-        let dir = tmpdir("par-map-corrupt");
-        let mut w = StoreWriter::with_rows_per_segment(&dir, 5).unwrap();
-        for i in 0..20 {
-            StoreWriter::append(&mut w, &rec(i)).unwrap();
+    fn par_fold_surfaces_corruption() {
+        for victim in ["seg-000001.hsdb", "seg-000002.hsdb"] {
+            let dir = tmpdir("par-corrupt");
+            let mut w = StoreWriter::with_rows_per_segment(&dir, 5).unwrap();
+            for i in 0..20 {
+                StoreWriter::append(&mut w, &rec(i)).unwrap();
+            }
+            w.finish().unwrap();
+            // Flip a byte in the middle of the segment's blocks.
+            let victim = dir.join(victim);
+            let mut bytes = std::fs::read(&victim).unwrap();
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0xFF;
+            std::fs::write(&victim, &bytes).unwrap();
+            let store = Store::open(&dir).unwrap();
+            let err = store
+                .par_fold(3, || 0usize, |rows, _| *rows += 1, |a, b| *a += b)
+                .expect_err("corruption must abort the scan");
+            assert!(matches!(err, SessionDbError::Corrupt { .. }), "{err}");
         }
-        w.finish().unwrap();
-        let victim = dir.join("seg-000002.hsdb");
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&victim, &bytes).unwrap();
-        let store = Store::open(&dir).unwrap();
-        let err = store
-            .par_scan_map(3, |_| 0usize, |rows, _| *rows += 1)
-            .expect_err("corruption must abort the scan");
-        assert!(matches!(err, SessionDbError::Corrupt { .. }), "{err}");
-    }
-
-    #[test]
-    fn par_scan_surfaces_corruption() {
-        let dir = tmpdir("par-corrupt");
-        let mut w = StoreWriter::with_rows_per_segment(&dir, 5).unwrap();
-        for i in 0..20 {
-            StoreWriter::append(&mut w, &rec(i)).unwrap();
-        }
-        w.finish().unwrap();
-        // Flip a byte in the middle of the second segment's blocks.
-        let victim = dir.join("seg-000001.hsdb");
-        let mut bytes = std::fs::read(&victim).unwrap();
-        let mid = bytes.len() / 2;
-        bytes[mid] ^= 0xFF;
-        std::fs::write(&victim, &bytes).unwrap();
-        let store = Store::open(&dir).unwrap();
-        let err = store
-            .par_scan(3, |acc: &mut u64, b| *acc += b.len() as u64, |a, b| a + b)
-            .expect_err("corruption must abort the scan");
-        assert!(matches!(err, SessionDbError::Corrupt { .. }), "{err}");
     }
 
     #[test]

@@ -51,12 +51,20 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 echo "== tier1: bench smoke (all seven targets: asserts and equivalence gates, tiny dataset, one call per id) =="
 cargo bench -p honeylab-bench -- --smoke
 
-echo "== tier1: sessiondb smoke (generate -> analyze) =="
+echo "== tier1: sessiondb smoke (generate -> analyze; 1 thread == 2 threads) =="
 smoke="$(mktemp -d)/smoke.hsdb"
 trap 'rm -rf "$test_tmp" "$(dirname "$smoke")"' EXIT
 ./target/release/honeylab generate --scale 60000 --seed 5 \
     --out-format sessiondb --out "$smoke"
 ./target/release/honeylab analyze "$smoke" > /dev/null
+# Segment partials merge in segment order whichever worker folded them,
+# so the report must not depend on the worker count.
+for threads in 1 2; do
+    ./target/release/honeylab analyze "$smoke" --format json \
+        --analysis-threads "$threads" > "$(dirname "$smoke")/threads-$threads.json"
+done
+cmp "$(dirname "$smoke")/threads-1.json" "$(dirname "$smoke")/threads-2.json" \
+    || { echo "analyze --format json differs between 1 and 2 threads"; exit 1; }
 
 echo "== tier1: crash-recovery smoke (serve -> kill -9 -> recover) =="
 crash_dir="$(mktemp -d)"

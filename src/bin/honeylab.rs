@@ -380,23 +380,16 @@ fn analyze_sessiondb(
         "sessiondb store: {} sessions in {} segments",
         summary.rows, summary.segments
     );
-    // One parallel pass CRC-checks and decodes every block up front, so
-    // the streaming analysis pass below can trust the store.
-    match store.par_scan_map(threads, |_| 0u64, |rows, _| *rows += 1) {
-        Ok(per_segment) => eprintln!("validated {} sessions", per_segment.iter().sum::<u64>()),
-        Err(e) => {
-            eprintln!("error scanning {path}: {e}");
-            return 1;
-        }
-    }
-    // Every selected report shares one out-of-core scan; memory stays
-    // bounded by one decoded segment regardless of store size.
+    // Every selected report shares one out-of-core pass, which checks
+    // each segment whole (CRCs, tags, ids) before it hands out a row;
+    // memory stays bounded by the worker count regardless of store size.
     let result = AnalysisBuilder::new(SessionSource::Store(&store))
         .reports(reports.iter().copied())
         .threads(threads)
         .run();
     match result {
         Ok(r) => {
+            eprintln!("validated {} sessions", r.sessions);
             emit_analysis(&r, format);
             0
         }
@@ -763,11 +756,11 @@ fn cmd_recover(args: &[String]) -> i32 {
         }
     };
     let summary = store.summary();
-    match store.scan().records().collect::<Result<Vec<_>, _>>() {
-        Ok(recs) => {
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+    match store.par_fold(workers, || 0u64, |rows, _| *rows += 1, |a, b| *a += b) {
+        Ok(rows) => {
             eprintln!(
-                "store: {} sessions in {} segments, CRCs intact",
-                recs.len(),
+                "store: {rows} sessions in {} segments, CRCs intact",
                 summary.segments
             );
             0

@@ -258,6 +258,67 @@ fn analyze_rejects_corrupt_store() {
 }
 
 #[test]
+fn recover_checks_every_crc_of_a_store() {
+    let dir = std::env::temp_dir().join("honeylab-cli-test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let store = dir.join("hlab-recover.hsdb");
+    std::fs::remove_dir_all(&store).ok();
+    let out = honeylab()
+        .args([
+            "generate",
+            "--scale",
+            "60000",
+            "--out-format",
+            "sessiondb",
+            "--out",
+            store.to_str().unwrap(),
+        ])
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    // "N sessions in K segments", as the writer counted them.
+    let counts = err
+        .lines()
+        .find_map(|l| l.strip_prefix("wrote sessiondb store "))
+        .and_then(|l| l.rsplit_once(": "))
+        .map(|(_, counts)| counts.to_string())
+        .unwrap_or_else(|| panic!("generate reported:\n{err}"));
+
+    let out = honeylab()
+        .arg("recover")
+        .arg(&store)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{err}");
+    assert!(
+        err.contains(&format!("store: {counts}, CRCs intact")),
+        "{err}"
+    );
+
+    // One flipped byte in a sealed segment fails the check.
+    let seg = store.join("seg-000000.hsdb");
+    let mut bytes = std::fs::read(&seg).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x10;
+    std::fs::write(&seg, &bytes).unwrap();
+    let out = honeylab()
+        .arg("recover")
+        .arg(&store)
+        .output()
+        .expect("binary runs");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("fails CRC verification"), "{err}");
+    std::fs::remove_dir_all(&store).ok();
+}
+
+#[test]
 fn generate_rejects_unknown_format() {
     let out = honeylab()
         .args(["generate", "--scale", "60000", "--out-format", "parquet"])

@@ -279,9 +279,9 @@ fn analysis_equivalence_sessiondb_vs_cowrie() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `par_scan` agrees with the serial scan whatever the worker count.
+/// `par_fold` agrees with the serial scan whatever the worker count.
 #[test]
-fn par_scan_matches_serial_scan() {
+fn par_fold_matches_serial_scan() {
     let all = &sessions()[..500];
     let dir = scratch("par");
     write_store(&dir, all, 64);
@@ -293,12 +293,8 @@ fn par_scan_matches_serial_scan() {
         .count() as u64;
     for workers in [1, 2, 7, 64] {
         let n = store
-            .par_scan(
-                workers,
-                |acc: &mut u64, batch| *acc += batch.len() as u64,
-                |a, b| a + b,
-            )
-            .expect("par_scan");
+            .par_fold(workers, || 0u64, |n, _| *n += 1, |a, b| *a += b)
+            .expect("par_fold");
         assert_eq!(n, serial, "worker count {workers} changes nothing");
     }
     std::fs::remove_dir_all(&dir).ok();
